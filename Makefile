@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet lint test race bench bench-go bench-guard flame fuzz-smoke chaos cluster-chaos leak sched-check overload tier1 clean
+.PHONY: all build vet lint test build-inline race bench bench-go bench-guard flame fuzz-smoke chaos cluster-chaos leak sched-check overload tier1 clean
 
 all: tier1
 
@@ -21,6 +21,14 @@ lint: vet
 
 test:
 	$(GO) test ./...
+
+# build-inline reruns the golden corpus and the internal/sim workload
+# tests at GOMAXPROCS=1. Session builds generate their streams
+# concurrently on a multi-core host; this keeps the inline path a
+# one-core host takes covered on multi-core runners too.
+build-inline:
+	GOMAXPROCS=1 $(GO) test -count=1 -run 'TestGolden' .
+	GOMAXPROCS=1 $(GO) test -count=1 -run 'TestWorkload|TestBuild|TestMaterialize' ./internal/sim
 
 race:
 	$(GO) test -race ./...
@@ -116,7 +124,7 @@ overload:
 # normal test set); leak re-runs them uncached so the gate cannot be
 # satisfied by a stale pass. lint subsumes vet and adds the domain
 # analyzers, so a contract violation fails the gate before any test runs.
-tier1: lint build race fuzz-smoke leak cluster-chaos sched-check overload
+tier1: lint build race build-inline fuzz-smoke leak cluster-chaos sched-check overload
 
 clean:
 	$(GO) clean ./...

@@ -215,6 +215,18 @@ func (e *ESP) Reset() {
 	e.lineScratch = e.lineScratch[:0]
 }
 
+// Unbind drops the engine's references into the workload it just
+// replayed: Src and the speculative stream each live slot was
+// pre-executing. Statistics and the study stay readable, and nothing is
+// allocated; Reset must run before the engine replays again. Without
+// this, a pooled engine keeps its last workload's arena reachable.
+func (e *ESP) Unbind() {
+	e.Src = nil
+	for _, s := range e.slots {
+		s.insts = nil
+	}
+}
+
 // scrubSlot releases a slot's cachelets and replica to the pools and
 // restores the zero state a fresh &slot{} would have (the list record
 // arrays keep their capacity; truncated-and-appended slices hold exactly

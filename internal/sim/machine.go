@@ -177,7 +177,7 @@ func (m *Machine) Replay(w *Workload) {
 	m.loop.Run()
 	// Unbind the workload so a pooled machine never pins its arena.
 	if m.esp != nil {
-		m.esp.Src = nil
+		m.esp.Unbind()
 		m.spec.src = nil
 	}
 	m.loop.Src = nil

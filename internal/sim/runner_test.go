@@ -5,10 +5,13 @@ import (
 	"fmt"
 	"hash/fnv"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
+	"espsim/internal/trace"
 	"espsim/internal/workload"
 )
 
@@ -289,4 +292,59 @@ func TestWorkloadImmutableUnderConcurrentReplay(t *testing.T) {
 	if after := workloadDigest(w); after != before {
 		t.Fatalf("workload mutated by concurrent replays: digest %x -> %x", before, after)
 	}
+}
+
+// TestPooledESPMachineReleasesArena checks that a pooled ESP machine does
+// not keep its last workload reachable. The runner pools one machine per
+// full Config, MaxEvents included, and caches one workload here, so each
+// new truncation evicts the previous workload while the machine that
+// replayed it stays pooled. Every evicted arena must still be collected:
+// live ESP slots used to hold their speculative streams past the replay.
+func TestPooledESPMachineReleasesArena(t *testing.T) {
+	prof := workload.Bing()
+	prof.Events = 40
+	r := NewRunner()
+	r.SetWorkloadCap(1)
+	const builds = 11
+	collected := make(chan int, builds)
+	for k := 0; k < builds; k++ {
+		cfg := espConfig()
+		cfg.MaxEvents = 20 + k
+		if _, err := r.RunCell("pin", prof, cfg, 0); err != nil {
+			t.Fatal(err)
+		}
+		// A cache hit: the workload the pooled machine just replayed.
+		w, err := r.Workload(prof, cfg.MaxEvents)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.SetFinalizer(&w.arena[0], func(*trace.Inst) { collected <- k })
+	}
+	pooled := 0
+	r.mu.Lock()
+	for cfg, ms := range r.machines {
+		if cfg.Assist == AssistESP {
+			pooled += len(ms)
+		}
+	}
+	r.mu.Unlock()
+	if pooled != builds {
+		t.Fatalf("%d ESP machines pooled, want %d", pooled, builds)
+	}
+
+	// All but the last workload were evicted; each collection queues its
+	// finalizer, and a fresh GC picks up any that a cycle missed.
+	deadline := time.Now().Add(10 * time.Second)
+	for got := 0; got < builds-1; {
+		runtime.GC()
+		select {
+		case <-collected:
+			got++
+		case <-time.After(100 * time.Millisecond):
+			if time.Now().After(deadline) {
+				t.Fatalf("%d of %d evicted arenas collected; pooled ESP machines pin the rest", got, builds-1)
+			}
+		}
+	}
+	runtime.KeepAlive(r)
 }

@@ -2,6 +2,9 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"espsim/internal/eventq"
 	"espsim/internal/trace"
@@ -223,17 +226,103 @@ func specHorizon(n, nExec int, pendTab []trace.Event, pend []span) int {
 	return h
 }
 
-// generate walks one event's stream straight into the arena and returns
-// its span. The walker is warm scratch shared across all events of the
-// build; the generator reseeds per event, so emission order cannot change
-// a stream.
-//
-//esp:ctor
-func (w *Workload) generate(wk *workload.Walker, g *workload.Generator, ev trace.Event, speculative bool) span {
-	start := len(w.arena)
-	wk.Init(g, ev, speculative)
-	w.arena = wk.Append(w.arena)
-	return span{off: int32(start), n: int32(len(w.arena) - start)}
+// inlineBuildInsts is the build size, in instructions, below which
+// fill generates on the calling goroutine alone: under about 1 ms of
+// generation (~35 ns per instruction), starting workers and warming
+// their walkers' scratch costs more than splitting the build saves.
+const inlineBuildInsts = 1 << 15
+
+// genJob is one generated stream of a session build: the normal or
+// speculative variant of event ev, destined for arena span sp.
+type genJob struct {
+	ev   int32
+	spec bool
+	sp   span
+}
+
+// buildPlan lays a session build's streams out back to back in the
+// arena, in build order, before any is generated: a stream of event ev
+// is exactly ev.Len instructions, so every span is known up front.
+type buildPlan struct {
+	evs  []trace.Event
+	jobs []genJob
+	end  int32
+}
+
+// stream lays out the next stream, evs[i]'s normal or speculative
+// variant, and returns its span.
+func (p *buildPlan) stream(i int, speculative bool) span {
+	sp := span{off: p.end, n: int32(p.evs[i].Len)}
+	p.jobs = append(p.jobs, genJob{ev: int32(i), spec: speculative, sp: sp})
+	p.end += sp.n
+	return sp
+}
+
+// fill allocates the arena and generates every laid-out stream into its
+// span. The generator reseeds per event, so a stream depends only on its
+// own event: the arena is the same under any worker count or claim
+// order. Each span is capacity-pinned, and a stream that does not fill
+// its span exactly is a generator bug.
+func (p *buildPlan) fill(g *workload.Generator) []trace.Inst {
+	arena := make([]trace.Inst, p.end)
+	forEachJob(len(p.jobs), p.end < inlineBuildInsts, func(wk *workload.Walker, k int) {
+		j := p.jobs[k]
+		ev := p.evs[j.ev]
+		wk.Init(g, ev, j.spec)
+		end := j.sp.off + j.sp.n
+		if got := wk.Append(arena[j.sp.off:j.sp.off:end]); len(got) != int(j.sp.n) {
+			panic(fmt.Sprintf("esp: event %d stream has %d instructions, laid out for %d", ev.ID, len(got), j.sp.n))
+		}
+	})
+	return arena
+}
+
+// forEachJob calls job(wk, k) for every k in [0, n). Inline, or with
+// GOMAXPROCS or n at most 1, the caller runs every job with one walker.
+// Otherwise min(GOMAXPROCS, n) workers, the caller among them, claim
+// jobs from a shared index, each passing its own walker. A panicking
+// job stops further claims; its value is re-raised on the caller once
+// every worker has returned, so callers' recover paths see it as if the
+// build had run serially.
+func forEachJob(n int, inline bool, job func(wk *workload.Walker, k int)) {
+	workers := min(runtime.GOMAXPROCS(0), n)
+	if inline || workers <= 1 {
+		var wk workload.Walker
+		for k := 0; k < n; k++ {
+			job(&wk, k)
+		}
+		return
+	}
+	var (
+		next    atomic.Int64
+		wg      sync.WaitGroup
+		once    sync.Once
+		failure any
+	)
+	work := func() {
+		defer func() {
+			if p := recover(); p != nil {
+				once.Do(func() { failure = p })
+				next.Store(int64(n))
+			}
+		}()
+		var wk workload.Walker
+		for k := next.Add(1) - 1; k < int64(n); k = next.Add(1) - 1 {
+			job(&wk, int(k))
+		}
+	}
+	wg.Add(workers - 1)
+	for range workers - 1 {
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+	if failure != nil {
+		panic(failure)
+	}
 }
 
 // record drains s into the arena (at most max instructions, matching
@@ -265,9 +354,9 @@ func (w *Workload) copyInsts(insts []trace.Inst) span {
 	return span{off: int32(start), n: int32(len(w.arena) - start)}
 }
 
-// fromSession materializes a synthetic session. Streams are generated in
-// event order exactly as eventq.SessionSource would have on demand, by
-// one reused walker writing directly into the arena.
+// fromSession materializes a synthetic session. Each stream is exactly
+// the one eventq.SessionSource would generate on demand, written
+// directly into the arena.
 //
 //esp:ctor
 func (w *Workload) fromSession(sess *workload.Session, maxEvents int) {
@@ -287,38 +376,34 @@ func (w *Workload) fromSession(sess *workload.Session, maxEvents int) {
 		w.pend[i] = span{off: int32(i + 1), n: int32(d)}
 	}
 	nSpec := specHorizon(n, w.nExec, w.pendTab, w.pend)
+	w.generateStreams(sess.Gen, sess.Events, nSpec)
+}
 
-	// Pre-size the arena: one normal stream per executed event, plus a
-	// separate speculative stream for diverging and beyond-prefix events.
-	total := 0
-	for i := 0; i < w.nExec; i++ {
-		total += sess.Events[i].Len
-		if sess.Events[i].Diverge >= 0 {
-			total += sess.Events[i].Len
-		}
-	}
-	for i := w.nExec; i < nSpec; i++ {
-		total += sess.Events[i].Len
-	}
-	w.arena = make([]trace.Inst, 0, total)
-
-	var wk workload.Walker
+// generateStreams materializes a session build's streams: for each
+// executed event evs[:w.nExec] its normal stream and, when it diverges,
+// a separate speculative one (otherwise both share a span); then a
+// speculative stream for each event up to the horizon nSpec. Spans sit
+// in the arena in that order. All of them are laid out first and then
+// generated concurrently (buildPlan.fill).
+//
+//esp:ctor
+func (w *Workload) generateStreams(g *workload.Generator, evs []trace.Event, nSpec int) {
+	p := buildPlan{evs: evs, jobs: make([]genJob, 0, w.nExec+nSpec)}
 	w.normal = make([]span, w.nExec)
 	w.spec = make([]span, nSpec)
 	for i := 0; i < w.nExec; i++ {
-		ev := sess.Events[i]
-		w.normal[i] = w.generate(&wk, sess.Gen, ev, false)
-		if ev.Diverge < 0 {
+		w.normal[i] = p.stream(i, false)
+		if evs[i].Diverge < 0 {
 			// Pre-execution matches normal execution: share the span.
 			w.spec[i] = w.normal[i]
 		} else {
-			w.spec[i] = w.generate(&wk, sess.Gen, ev, true)
+			w.spec[i] = p.stream(i, true)
 		}
 	}
 	for i := w.nExec; i < nSpec; i++ {
-		ev := sess.Events[i]
-		w.spec[i] = w.generate(&wk, sess.Gen, ev, true)
+		w.spec[i] = p.stream(i, true)
 	}
+	w.arena = p.fill(g)
 }
 
 // fromSource materializes a generic source by copying its streams. When
@@ -411,27 +496,7 @@ func (w *Workload) fromSessionSched(sess *workload.Session, nExec int, sched *ev
 	w.events = evs
 	w.pendTab = evs
 	w.pend = schedWindows(evs, sched.Dispatch)
-
-	total := 0
-	for _, ev := range evs {
-		total += ev.Len
-		if ev.Diverge >= 0 {
-			total += ev.Len
-		}
-	}
-	w.arena = make([]trace.Inst, 0, total)
-
-	var wk workload.Walker
-	w.normal = make([]span, nExec)
-	w.spec = make([]span, nExec)
-	for k, ev := range evs {
-		w.normal[k] = w.generate(&wk, sess.Gen, ev, false)
-		if ev.Diverge < 0 {
-			w.spec[k] = w.normal[k]
-		} else {
-			w.spec[k] = w.generate(&wk, sess.Gen, ev, true)
-		}
-	}
+	w.generateStreams(sess.Gen, evs, nExec)
 }
 
 // fromSourceSched materializes a timed generic source in dispatch
