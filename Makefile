@@ -94,6 +94,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzRunRequest -fuzztime=$(FUZZTIME) ./internal/serve
 	$(GO) test -run='^$$' -fuzz=FuzzJournalReplay -fuzztime=$(FUZZTIME) ./internal/checkpoint
 	$(GO) test -run='^$$' -fuzz=FuzzSchedulerConfig -fuzztime=$(FUZZTIME) ./internal/eventq
+	$(GO) test -run='^$$' -fuzz=FuzzCacheMatchesReference -fuzztime=$(FUZZTIME) ./internal/mem
 
 # sched-check proves the scheduling dimension under the race detector:
 # the scheduler property suite (permutation, time monotonicity, strict

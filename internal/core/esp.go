@@ -89,12 +89,7 @@ type slot struct {
 	// ws holds per-mode reuse profilers for the Figure 13 study,
 	// indexed by depth (nil entries for unvisited modes). The slice's
 	// storage survives scrubbing, so the study never reallocates it.
-	ws []*wsPair
-}
-
-type wsPair struct {
-	i *mem.WorkingSet
-	d *mem.WorkingSet
+	ws []*mem.WorkingSet
 }
 
 // listsFull reports whether none of the three prediction lists can hold
@@ -237,12 +232,12 @@ func (e *ESP) scrubSlot(s *slot) {
 	il.reset(0)
 	dl.reset(0)
 	bl.reset(0, 0)
-	ws := clearPairs(s.ws)
+	ws := clearSets(s.ws)
 	*s = slot{ilist: il, dlist: dl, blist: bl, ws: ws}
 }
 
-// clearPairs empties a study-pair slice while keeping its storage.
-func clearPairs(ws []*wsPair) []*wsPair {
+// clearSets empties a study profiler slice while keeping its storage.
+func clearSets(ws []*mem.WorkingSet) []*mem.WorkingSet {
 	for i := range ws {
 		ws[i] = nil
 	}
@@ -300,7 +295,7 @@ func (e *ESP) resetSlot(s *slot, depth int, ev trace.Event, valid bool) {
 	sz := e.Opt.Sizes
 	e.releaseSlotRes(s)
 	il, dl, bl := s.ilist, s.dlist, s.blist
-	ws := clearPairs(s.ws)
+	ws := clearSets(s.ws)
 	*s = slot{ev: ev, valid: valid, ilist: il, dlist: dl, blist: bl, ws: ws}
 	if e.Opt.Ideal {
 		s.icl = e.cachelet("I-cachelet", 4<<20, 16)
@@ -773,7 +768,7 @@ func (e *ESP) runSlot(s *slot, depth int, b *float64) (preExecResult, int) {
 	case BPReplicate:
 		bp = s.replica
 	}
-	ws := e.studyPair(s, depth)
+	ws := e.studySet(s, depth)
 
 	// The loop runs on locals (budget, position, instruction counter) and
 	// writes them back at each exit, keeping the per-instruction body free
@@ -798,7 +793,7 @@ func (e *ESP) runSlot(s *slot, depth int, b *float64) (preExecResult, int) {
 		if l := trace.Line(in.PC); !s.haveLine || l != s.fetchLine {
 			s.haveLine, s.fetchLine = true, l
 			if ws != nil {
-				ws.i.Touch(in.PC)
+				ws.Touch(in.PC)
 			}
 			if res, lat := e.fetchPre(s, in.PC, int32(pos), &bud); res == preExecLLC {
 				s.pos, *b = pos, bud
@@ -832,9 +827,6 @@ func (e *ESP) runSlot(s *slot, depth int, b *float64) (preExecResult, int) {
 			}
 
 		case trace.Load, trace.Store:
-			if ws != nil {
-				ws.d.Touch(in.Addr)
-			}
 			if res, lat := e.accessPre(s, in, int32(pos), &bud); res == preExecLLC {
 				s.pos, *b = pos, bud
 				e.Stats.PreExecInsts += preInsts
@@ -954,7 +946,7 @@ func (e *ESP) installReplica(r *branch.Predictor) {
 	e.BP.Stats = stats
 }
 
-func (e *ESP) studyPair(s *slot, depth int) *wsPair {
+func (e *ESP) studySet(s *slot, depth int) *mem.WorkingSet {
 	if e.Study == nil {
 		return nil
 	}
@@ -963,7 +955,7 @@ func (e *ESP) studyPair(s *slot, depth int) *wsPair {
 	}
 	p := s.ws[depth]
 	if p == nil {
-		p = &wsPair{i: mem.NewWorkingSet(), d: mem.NewWorkingSet()}
+		p = mem.NewWorkingSet()
 		s.ws[depth] = p
 	}
 	return p
@@ -978,8 +970,8 @@ func (e *ESP) finishStudy(s *slot) {
 	}
 	for depth, p := range s.ws {
 		if p != nil {
-			e.Study.AddSample(depth, p.i, p.d)
+			e.Study.AddSample(depth, p)
 		}
 	}
-	s.ws = clearPairs(s.ws)
+	s.ws = clearSets(s.ws)
 }

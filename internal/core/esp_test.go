@@ -519,9 +519,9 @@ func TestWorkingSetStudyMerge(t *testing.T) {
 	ws := mem.NewWorkingSet()
 	ws.Touch(0)
 	ws.Touch(64)
-	a.AddSample(0, ws, ws)
-	b.AddSample(0, ws, ws)
-	b.AddSample(1, ws, ws)
+	a.AddSample(0, ws)
+	b.AddSample(0, ws)
+	b.AddSample(1, ws)
 	a.Merge(b)
 	a.Merge(nil)
 	if a.ReportI()[0].Events != 2 || a.ReportI()[1].Events != 1 {

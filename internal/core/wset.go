@@ -19,10 +19,8 @@ type WorkingSetStudy struct {
 
 type wsSample struct {
 	iUnique int
-	dUnique int
 	// Lines needed to capture 95/85/75% of reuse.
 	i95, i85, i75 int
-	d95, d85, d75 int
 }
 
 // NewWorkingSetStudy returns a study for the given jump-ahead depth.
@@ -44,15 +42,15 @@ func (st *WorkingSetStudy) Merge(other *WorkingSetStudy) {
 	}
 }
 
-// AddSample folds one (event, mode) pre-execution profile into the study.
-func (st *WorkingSetStudy) AddSample(mode int, i, d *mem.WorkingSet) {
+// AddSample folds one (event, mode) pre-execution instruction-reuse
+// profile into the study.
+func (st *WorkingSetStudy) AddSample(mode int, i *mem.WorkingSet) {
 	if mode < 0 || mode >= len(st.samples) {
 		return
 	}
 	st.samples[mode] = append(st.samples[mode], wsSample{
-		iUnique: i.Unique(), dUnique: d.Unique(),
-		i95: i.LinesFor(0.95), i85: i.LinesFor(0.85), i75: i.LinesFor(0.75),
-		d95: d.LinesFor(0.95), d85: d.LinesFor(0.85), d75: d.LinesFor(0.75),
+		iUnique: i.Unique(),
+		i95:     i.LinesFor(0.95), i85: i.LinesFor(0.85), i75: i.LinesFor(0.75),
 	})
 }
 
@@ -69,26 +67,17 @@ type ModeReport struct {
 	Lines75  int
 }
 
-// ReportI returns the instruction-side report; ReportD the data side.
-func (st *WorkingSetStudy) ReportI() []ModeReport { return st.report(true) }
-
-// ReportD returns the data-side Figure 13 report.
-func (st *WorkingSetStudy) ReportD() []ModeReport { return st.report(false) }
-
-func (st *WorkingSetStudy) report(instr bool) []ModeReport {
+// ReportI returns the instruction-side Figure 13 report: one entry per
+// ESP mode.
+func (st *WorkingSetStudy) ReportI() []ModeReport {
 	out := make([]ModeReport, 0, len(st.samples))
 	for mode, ss := range st.samples {
 		r := ModeReport{Mode: mode + 1, Events: len(ss)}
 		if len(ss) > 0 {
 			var uniq, l95, l85, l75 []int
 			for _, s := range ss {
-				if instr {
-					uniq = append(uniq, s.iUnique)
-					l95, l85, l75 = append(l95, s.i95), append(l85, s.i85), append(l75, s.i75)
-				} else {
-					uniq = append(uniq, s.dUnique)
-					l95, l85, l75 = append(l95, s.d95), append(l85, s.d85), append(l75, s.d75)
-				}
+				uniq = append(uniq, s.iUnique)
+				l95, l85, l75 = append(l95, s.i95), append(l85, s.i85), append(l75, s.i75)
 			}
 			r.MaxLines = maxOf(uniq)
 			r.Lines95 = percentileInt(l95, 0.95)

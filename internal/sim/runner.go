@@ -190,7 +190,11 @@ type workloadCell struct {
 
 // Runner joins the planes for sweeps: it materializes each workload once
 // (single-flight, shared by every configuration and goroutine) and pools
-// one reusable Machine per distinct Config per concurrent worker.
+// one reusable Machine per machine shape per concurrent worker. A shape
+// is a Config without MaxEvents and Sched: both are baked into the
+// workload, so cells that differ only in truncation or dispatch policy
+// share machines, and a long-lived Runner fed new truncations does not
+// grow its pool.
 // All methods are safe for concurrent use; results are bit-identical to
 // building a fresh machine per cell because Machine.Run resets to cold
 // state first.
@@ -212,7 +216,8 @@ type Runner struct {
 	cacheBytes     int64
 	// noAdmit stops new builds from entering the cache (brownout's
 	// no-cache lever); already-cached workloads still serve.
-	noAdmit  bool
+	noAdmit bool
+	// machines pools idle machines by shape (see machineShape).
 	machines map[Config][]*Machine
 	perf     Perf
 	observer func(CellEvent)
@@ -440,8 +445,18 @@ func (r *Runner) buildWorkload(prof workload.Profile, maxEvents int, policy even
 	return w, nil
 }
 
-// acquireMachine pops a pooled machine for cfg or assembles one.
+// machineShape is cfg as the machine pool keys it: MaxEvents and Sched
+// are cleared because the workload already carries them — its executed
+// prefix and its dispatch order — so a machine never truncates or
+// schedules on its own.
+func machineShape(cfg Config) Config {
+	cfg.MaxEvents, cfg.Sched = 0, eventq.SchedFIFO
+	return cfg
+}
+
+// acquireMachine pops a pooled machine of cfg's shape or assembles one.
 func (r *Runner) acquireMachine(cfg Config) (*Machine, error) {
+	cfg = machineShape(cfg)
 	r.mu.Lock()
 	pool := r.machines[cfg]
 	if n := len(pool); n > 0 {
@@ -464,7 +479,7 @@ func (r *Runner) acquireMachine(cfg Config) (*Machine, error) {
 	return m, err
 }
 
-// releaseMachine returns a healthy machine to its configuration's pool.
+// releaseMachine returns a healthy machine to its shape's pool.
 func (r *Runner) releaseMachine(m *Machine) {
 	r.mu.Lock()
 	r.machines[m.cfg] = append(r.machines[m.cfg], m)
@@ -472,8 +487,8 @@ func (r *Runner) releaseMachine(m *Machine) {
 }
 
 // RunCell simulates one (profile, configuration) cell: the workload is
-// materialized once per (profile, MaxEvents) and shared, the machine
-// comes from the per-configuration pool. label names the cell in panic
+// materialized once per (profile, MaxEvents, Sched) and shared, the
+// machine comes from the per-shape pool. label names the cell in panic
 // and timeout errors. A non-positive timeout runs inline; otherwise the
 // cell is abandoned with an error after timeout (the worker goroutine
 // still returns its machine to the pool when it eventually finishes —
@@ -488,7 +503,9 @@ func (r *Runner) RunCell(label string, prof workload.Profile, cfg Config, timeou
 }
 
 // RunWorkload is RunCell for an already-materialized workload (e.g. one
-// built from a generic source).
+// built from a generic source). Truncation and dispatch order come from
+// w alone: cfg's MaxEvents and Sched only select the workload in
+// RunCell.
 func (r *Runner) RunWorkload(label string, w *Workload, cfg Config, timeout time.Duration) (Result, error) {
 	m, err := r.acquireMachine(cfg)
 	if err != nil {

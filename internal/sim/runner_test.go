@@ -295,11 +295,12 @@ func TestWorkloadImmutableUnderConcurrentReplay(t *testing.T) {
 }
 
 // TestPooledESPMachineReleasesArena checks that a pooled ESP machine does
-// not keep its last workload reachable. The runner pools one machine per
-// full Config, MaxEvents included, and caches one workload here, so each
-// new truncation evicts the previous workload while the machine that
-// replayed it stays pooled. Every evicted arena must still be collected:
-// live ESP slots used to hold their speculative streams past the replay.
+// not keep its last workload reachable. Each cell runs under its own
+// name, so the runner pools a machine per cell, and caches one workload
+// here, so each new truncation evicts the previous workload while the
+// machine that replayed it stays pooled. Every evicted arena must still
+// be collected: live ESP slots used to hold their speculative streams
+// past the replay.
 func TestPooledESPMachineReleasesArena(t *testing.T) {
 	prof := workload.Bing()
 	prof.Events = 40
@@ -309,6 +310,7 @@ func TestPooledESPMachineReleasesArena(t *testing.T) {
 	collected := make(chan int, builds)
 	for k := 0; k < builds; k++ {
 		cfg := espConfig()
+		cfg.Name = fmt.Sprintf("esp-nl-%d", k)
 		cfg.MaxEvents = 20 + k
 		if _, err := r.RunCell("pin", prof, cfg, 0); err != nil {
 			t.Fatal(err)
