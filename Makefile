@@ -23,12 +23,13 @@ test:
 	$(GO) test ./...
 
 # build-inline reruns the golden corpus and the internal/sim workload
-# tests at GOMAXPROCS=1. Session builds generate their streams
-# concurrently on a multi-core host; this keeps the inline path a
-# one-core host takes covered on multi-core runners too.
+# tests, derived builds included, at GOMAXPROCS=1. Session builds
+# generate and copy their streams concurrently on a multi-core host;
+# this keeps the inline path a one-core host takes covered on
+# multi-core runners too.
 build-inline:
 	GOMAXPROCS=1 $(GO) test -count=1 -run 'TestGolden' .
-	GOMAXPROCS=1 $(GO) test -count=1 -run 'TestWorkload|TestBuild|TestMaterialize' ./internal/sim
+	GOMAXPROCS=1 $(GO) test -count=1 -run 'TestWorkload|TestBuild|TestMaterialize|TestDerived' ./internal/sim
 
 race:
 	$(GO) test -race ./...
@@ -95,6 +96,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzJournalReplay -fuzztime=$(FUZZTIME) ./internal/checkpoint
 	$(GO) test -run='^$$' -fuzz=FuzzSchedulerConfig -fuzztime=$(FUZZTIME) ./internal/eventq
 	$(GO) test -run='^$$' -fuzz=FuzzCacheMatchesReference -fuzztime=$(FUZZTIME) ./internal/mem
+	$(GO) test -run='^$$' -fuzz=FuzzPredictorMatchesReference -fuzztime=$(FUZZTIME) ./internal/branch
 
 # sched-check proves the scheduling dimension under the race detector:
 # the scheduler property suite (permutation, time monotonicity, strict

@@ -124,6 +124,11 @@ type Engine struct {
 	MachineReuses    int64 `json:"machine_reuses"`
 	BuildWallMs      int64 `json:"build_wall_ms"`
 	SimWallMs        int64 `json:"sim_wall_ms"`
+	// InstsReused counts stream instructions workload builds took from
+	// a cached build of the same session; InstsGenerated those they
+	// generated.
+	InstsReused    int64 `json:"insts_reused"`
+	InstsGenerated int64 `json:"insts_generated"`
 
 	// Sched aggregates responsiveness across every cell that ran under
 	// a materialized dispatch schedule; omitted until one has.

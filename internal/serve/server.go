@@ -925,6 +925,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		MachineReuses:    perf.MachineReuses,
 		BuildWallMs:      perf.BuildWall.Milliseconds(),
 		SimWallMs:        perf.SimWall.Milliseconds(),
+		InstsReused:      perf.InstsReused,
+		InstsGenerated:   perf.InstsGenerated,
 	}
 	if perf.SchedCells > 0 {
 		se := &metrics.SchedEngine{

@@ -399,6 +399,40 @@ func TestReadyzQuarantineThreshold(t *testing.T) {
 	}
 }
 
+// TestMetricsInstsReused: a shorter truncation of a cached session is
+// built from that session's streams, and /metrics reports how many
+// stream instructions builds reused and how many they generated.
+func TestMetricsInstsReused(t *testing.T) {
+	s := testServer(t, Options{Workers: 1, QueueDepth: 2, WorkloadCap: 8})
+	engine := func() metrics.Engine {
+		t.Helper()
+		rec := get(t, s, "/metrics")
+		var snap metrics.Snapshot
+		if err := json.Unmarshal(rec.Body.Bytes(), &snap); err != nil {
+			t.Fatalf("metrics is not valid JSON: %v", err)
+		}
+		return snap.Engine
+	}
+	for _, m := range []int{16, 8} {
+		if rec := post(t, s, "/run", RunRequest{App: "amazon", Config: "base", MaxEvents: m}); rec.Code != http.StatusOK {
+			t.Fatalf("run max_events %d: status %d", m, rec.Code)
+		}
+		e := engine()
+		switch {
+		case m == 16 && (e.InstsGenerated == 0 || e.InstsReused != 0):
+			t.Fatalf("first build: engine %+v, want instructions generated and none reused", e)
+		case m == 8 && e.InstsReused == 0:
+			t.Fatalf("shorter truncation of a cached session: engine %+v, want instructions reused", e)
+		}
+	}
+	rec := get(t, s, "/metrics")
+	for _, field := range []string{`"insts_reused"`, `"insts_generated"`} {
+		if !bytes.Contains(rec.Body.Bytes(), []byte(field)) {
+			t.Fatalf("metrics body lacks %s", field)
+		}
+	}
+}
+
 // TestMetricsEndpoint: after traffic, every layer of the snapshot is
 // populated — request counters, engine reuse counters, the histogram.
 func TestMetricsEndpoint(t *testing.T) {

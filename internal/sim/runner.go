@@ -69,6 +69,11 @@ type Perf struct {
 	// machines; SimWall is time spent replaying.
 	BuildWall time.Duration
 	SimWall   time.Duration
+	// InstsReused counts stream instructions that workload builds took
+	// from a cached build of the same profile (copied or shared);
+	// InstsGenerated counts those they generated.
+	InstsReused    int64
+	InstsGenerated int64
 
 	// SchedCells counts cells that ran under a materialized schedule
 	// and SchedEvents the events those schedules dispatched; the
@@ -198,6 +203,11 @@ type workloadCell struct {
 // All methods are safe for concurrent use; results are bit-identical to
 // building a fresh machine per cell because Machine.Run resets to cold
 // state first.
+//
+// A cache miss derives its workload from the cached build of the same
+// profile that executes the most events (see WorkloadSched), so a new
+// truncation of a known session generates only the streams no cached
+// build holds.
 //
 // The workload cache is unbounded by default; a long-lived Runner (the
 // espd service) should SetWorkloadCap so distinct (profile, MaxEvents)
@@ -356,10 +366,22 @@ func (r *Runner) Workload(prof workload.Profile, maxEvents int) (*Workload, erro
 // WorkloadSched is Workload under an explicit dispatch policy; the
 // policy is part of the cache key, so the same profile scheduled two
 // ways materializes two arenas.
+//
+// A miss picks a donor: the completed cached build of the same profile
+// that executes the most events, under any policy. When donor and new
+// build are both laid out in session order and the donor executes at
+// least as many events, the new build is a prefix view sharing the
+// donor's arena; otherwise it is an extension that copies every stream
+// the donor holds for an equal event and generates the rest (see
+// deriveWorkload). Hits never look for a donor.
 func (r *Runner) WorkloadSched(prof workload.Profile, maxEvents int, policy eventq.SchedPolicy) (*Workload, error) {
 	key := workloadKey{prof: prof, maxEvents: maxEvents, sched: policy}
 	r.mu.Lock()
 	cell, ok := r.workloads[key]
+	var donor *Workload
+	if !ok {
+		donor = r.donorLocked(prof)
+	}
 	if !ok && r.noAdmit {
 		// Brownout: build without caching. Correct but unshared — two
 		// concurrent misses for the same key build twice rather than
@@ -367,7 +389,7 @@ func (r *Runner) WorkloadSched(prof workload.Profile, maxEvents int, policy even
 		hook := r.fault
 		r.perf.WorkloadBypasses++
 		r.mu.Unlock()
-		return r.buildWorkload(prof, maxEvents, policy, hook)
+		return r.buildWorkload(prof, maxEvents, policy, hook, donor)
 	}
 	if !ok {
 		cell = &workloadCell{}
@@ -383,7 +405,7 @@ func (r *Runner) WorkloadSched(prof workload.Profile, maxEvents int, policy even
 	built := false
 	cell.once.Do(func() {
 		built = true
-		cell.w, cell.err = r.buildWorkload(prof, maxEvents, policy, hook)
+		cell.w, cell.err = r.buildWorkload(prof, maxEvents, policy, hook, donor)
 	})
 	if built && cell.err == nil {
 		// Fold the finished build into the byte budget — unless a
@@ -418,11 +440,30 @@ func (r *Runner) WorkloadSched(prof workload.Profile, maxEvents int, policy even
 	return cell.w, cell.err
 }
 
-// buildWorkload materializes one workload with fault-hook and perf
-// accounting, shared by the cached and cache-bypass paths.
-func (r *Runner) buildWorkload(prof workload.Profile, maxEvents int, policy eventq.SchedPolicy, hook FaultHook) (*Workload, error) {
+// donorLocked returns the completed cached build of prof that executes
+// the most events, the most recently used on a tie, or nil when none is
+// cached. Callers hold r.mu.
+func (r *Runner) donorLocked(prof workload.Profile) *Workload {
+	var best *Workload
+	for e := r.lru.Front(); e != nil; e = e.Next() {
+		key := e.Value.(workloadKey)
+		cell := r.workloads[key]
+		// bytes is nonzero exactly while a completed build is cached;
+		// it is set under r.mu after cell.w, so reading w here is safe.
+		if key.prof == prof && cell.bytes != 0 && (best == nil || cell.w.nExec > best.nExec) {
+			best = cell.w
+		}
+	}
+	return best
+}
+
+// buildWorkload materializes one workload, derived from donor when one
+// is given, with fault-hook and perf accounting, shared by the cached
+// and cache-bypass paths. The hook is consulted before any reuse.
+func (r *Runner) buildWorkload(prof workload.Profile, maxEvents int, policy eventq.SchedPolicy, hook FaultHook, donor *Workload) (*Workload, error) {
 	start := time.Now()
 	var w *Workload
+	var counts instCounts
 	var err error
 	if hook != nil {
 		if herr := hook(FaultPoint{Op: "build", Label: prof.Name, App: prof.Name}); herr != nil {
@@ -430,7 +471,7 @@ func (r *Runner) buildWorkload(prof workload.Profile, maxEvents int, policy even
 		}
 	}
 	if err == nil {
-		w, err = NewWorkloadSched(prof, maxEvents, policy)
+		w, counts, err = deriveWorkload(prof, maxEvents, policy, donor)
 		if err != nil {
 			err = fmt.Errorf("esp: workload %s: %w: %w", prof.Name, ErrBuild, err)
 		}
@@ -438,6 +479,8 @@ func (r *Runner) buildWorkload(prof workload.Profile, maxEvents int, policy even
 	r.mu.Lock()
 	r.perf.BuildWall += time.Since(start)
 	r.perf.WorkloadBuilds++
+	r.perf.InstsReused += counts.reused
+	r.perf.InstsGenerated += counts.generated
 	r.mu.Unlock()
 	if err != nil {
 		return nil, err

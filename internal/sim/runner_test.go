@@ -205,6 +205,48 @@ func TestFaultHookBuildFailureNotSticky(t *testing.T) {
 	if p.WorkloadReuses != 0 {
 		t.Fatalf("failed build was reused: %+v", p)
 	}
+
+	// A miss that would be a prefix view of the cached build consults
+	// the hook exactly once, before taking anything from it. A failure
+	// there leaves the donor cached, and the retry views it.
+	donor, err := r.Workload(prof, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	builds := 0
+	r.SetFaultHook(func(p FaultPoint) error {
+		if p.Op != "build" {
+			return nil
+		}
+		builds++
+		if builds == 1 {
+			return fmt.Errorf("injected build failure")
+		}
+		return nil
+	})
+	before := r.Perf()
+	if _, err := r.Workload(prof, 20); !errors.Is(err, ErrBuild) {
+		t.Fatalf("injected failure on a would-be view not classified ErrBuild: %v", err)
+	}
+	if p := r.Perf(); p.InstsReused != before.InstsReused || p.WorkloadBuilds != before.WorkloadBuilds+1 {
+		t.Fatalf("failed view: perf %+v, want one more build and nothing reused", p)
+	}
+	if again, err := r.Workload(prof, 0); err != nil || again != donor {
+		t.Fatalf("donor not cached after a failed view: got (%p, %v), want %p", again, err, donor)
+	}
+	view, err := r.Workload(prof, 20)
+	if err != nil {
+		t.Fatalf("retry of a failed view: %v", err)
+	}
+	if builds != 2 {
+		t.Fatalf("hook consulted %d times for two misses, want 2", builds)
+	}
+	if !sharesArena(view, []*Workload{donor}) {
+		t.Fatal("retry did not view the cached donor's arena")
+	}
+	if p := r.Perf(); p.InstsReused == before.InstsReused || p.InstsGenerated != before.InstsGenerated {
+		t.Fatalf("view: perf %+v, want instructions reused and none generated", p)
+	}
 }
 
 // workloadDigest hashes every observable byte of a workload: events,

@@ -61,7 +61,8 @@ type Workload struct {
 
 	// arena backs every materialized instruction span. Spans are handed
 	// out with full-capacity slice expressions, so even an appending
-	// consumer cannot clobber a neighbour.
+	// consumer cannot clobber a neighbour. A prefix view shares its
+	// donor's arena and span tables (see deriveWorkload).
 	arena []trace.Inst
 
 	// sched is the dispatch schedule this workload was materialized
@@ -96,7 +97,7 @@ func NewWorkload(prof workload.Profile, maxEvents int) (*Workload, error) {
 		return nil, fmt.Errorf("esp: building session: %w", err)
 	}
 	w := &Workload{App: prof.Name, trim: true}
-	w.fromSession(sess, maxEvents)
+	w.fromSession(sess, maxEvents, nil)
 	return w, nil
 }
 
@@ -113,7 +114,7 @@ func MaterializeSource(app string, src eventq.Source, maxEvents int) *Workload {
 		// Default queue view: identical to the session path, which keeps
 		// the untrimmed window and trims per machine at view time.
 		w.trim = true
-		w.fromSession(ss.S, maxEvents)
+		w.fromSession(ss.S, maxEvents, nil)
 		return w
 	}
 	w.fromSource(src, maxEvents)
@@ -129,30 +130,50 @@ func MaterializeSource(app string, src eventq.Source, maxEvents int) *Workload {
 // deterministic. An untimed session orders identically under every
 // policy (all arrivals are zero), so its build is bit-identical to
 // NewWorkload and only gains the schedule's stats.
+func NewWorkloadSched(prof workload.Profile, maxEvents int, policy eventq.SchedPolicy) (*Workload, error) {
+	w, _, err := deriveWorkload(prof, maxEvents, policy, nil)
+	return w, err
+}
+
+// instCounts splits the instructions of a session build's streams by
+// origin: reused from a donor build (copied, or shared by a prefix
+// view) or generated.
+type instCounts struct{ reused, generated int64 }
+
+// deriveWorkload is NewWorkloadSched with a donor: a completed build of
+// the same profile (nil: none) whose streams the new build takes
+// instead of generating them. When both are laid out in session order
+// and the donor executes at least as many events, the new workload is
+// a prefix view: it shares the donor's arena and span tables.
+// Otherwise it is an extension: its arena is laid out as a fresh
+// build's, and every stream the donor holds for an equal event at the
+// same index is copied (see Workload.streamOf). Either way it replays
+// exactly as a fresh NewWorkloadSched; an extension also matches its
+// arena and Bytes(). The counts say how many stream instructions were
+// reused and how many generated.
 //
 //esp:ctor
-func NewWorkloadSched(prof workload.Profile, maxEvents int, policy eventq.SchedPolicy) (*Workload, error) {
-	if !prof.Timed && policy == eventq.SchedFIFO {
-		return NewWorkload(prof, maxEvents)
-	}
+func deriveWorkload(prof workload.Profile, maxEvents int, policy eventq.SchedPolicy, donor *Workload) (*Workload, instCounts, error) {
 	sess, err := workload.NewSession(prof)
 	if err != nil {
-		return nil, fmt.Errorf("esp: building session: %w", err)
+		return nil, instCounts{}, fmt.Errorf("esp: building session: %w", err)
+	}
+	w := &Workload{App: prof.Name, trim: true}
+	if !prof.Timed && policy == eventq.SchedFIFO {
+		return w, w.fromSession(sess, maxEvents, donor), nil
 	}
 	nExec := execCount(len(sess.Events), maxEvents)
 	sched, err := eventq.BuildSchedule(sess.Events[:nExec], policy)
 	if err != nil {
-		return nil, fmt.Errorf("esp: building schedule: %w", err)
+		return nil, instCounts{}, fmt.Errorf("esp: building schedule: %w", err)
 	}
-	w := &Workload{App: prof.Name, trim: true, sched: sched}
+	w.sched = sched
 	if !anyTimed(sess.Events[:nExec]) {
 		// Identity order: the classic layout (including beyond-prefix
 		// speculative streams) is exactly right; keep it bit-identical.
-		w.fromSession(sess, maxEvents)
-		return w, nil
+		return w, w.fromSession(sess, maxEvents, donor), nil
 	}
-	w.fromSessionSched(sess, nExec, sched)
-	return w, nil
+	return w, w.fromSessionSched(sess, nExec, sched, donor), nil
 }
 
 // MaterializeSourceSched is MaterializeSource under a dispatch policy,
@@ -232,49 +253,85 @@ func specHorizon(n, nExec int, pendTab []trace.Event, pend []span) int {
 // their walkers' scratch costs more than splitting the build saves.
 const inlineBuildInsts = 1 << 15
 
-// genJob is one generated stream of a session build: the normal or
-// speculative variant of event ev, destined for arena span sp.
+// genJob is one stream of a session build: the normal or speculative
+// variant of event ev, destined for arena span sp. from is the offset of
+// the same stream in the donor's arena, or -1 when it is generated.
 type genJob struct {
 	ev   int32
 	spec bool
 	sp   span
+	from int32
 }
 
 // buildPlan lays a session build's streams out back to back in the
 // arena, in build order, before any is generated: a stream of event ev
-// is exactly ev.Len instructions, so every span is known up front.
+// is exactly ev.Len instructions, so every span is known up front. A
+// stream the donor holds is marked for copying instead of generating.
 type buildPlan struct {
-	evs  []trace.Event
-	jobs []genJob
-	end  int32
+	evs    []trace.Event
+	donor  *Workload
+	jobs   []genJob
+	end    int32
+	reused int64
 }
 
 // stream lays out the next stream, evs[i]'s normal or speculative
 // variant, and returns its span.
 func (p *buildPlan) stream(i int, speculative bool) span {
 	sp := span{off: p.end, n: int32(p.evs[i].Len)}
-	p.jobs = append(p.jobs, genJob{ev: int32(i), spec: speculative, sp: sp})
+	j := genJob{ev: int32(i), spec: speculative, sp: sp, from: -1}
+	if off, ok := p.donor.streamOf(i, p.evs[i], speculative); ok {
+		j.from = off
+		p.reused += int64(sp.n)
+	}
+	p.jobs = append(p.jobs, j)
 	p.end += sp.n
 	return sp
 }
 
-// fill allocates the arena and generates every laid-out stream into its
-// span. The generator reseeds per event, so a stream depends only on its
-// own event: the arena is the same under any worker count or claim
-// order. Each span is capacity-pinned, and a stream that does not fill
-// its span exactly is a generator bug.
+// fill allocates the arena, copies every stream the donor holds and
+// generates the rest into their spans. The generator reseeds per event,
+// so a stream depends only on its own event: the arena is the same
+// under any worker count or claim order, and with or without a donor.
+// Each span is capacity-pinned, and a stream that does not fill its
+// span exactly is a generator bug.
 func (p *buildPlan) fill(g *workload.Generator) []trace.Inst {
 	arena := make([]trace.Inst, p.end)
-	forEachJob(len(p.jobs), p.end < inlineBuildInsts, func(wk *workload.Walker, k int) {
+	forEachJob(len(p.jobs), int64(p.end)-p.reused < inlineBuildInsts, func(wk *workload.Walker, k int) {
 		j := p.jobs[k]
+		end := j.sp.off + j.sp.n
+		if j.from >= 0 {
+			copy(arena[j.sp.off:end], p.donor.arena[j.from:j.from+j.sp.n])
+			return
+		}
 		ev := p.evs[j.ev]
 		wk.Init(g, ev, j.spec)
-		end := j.sp.off + j.sp.n
 		if got := wk.Append(arena[j.sp.off:j.sp.off:end]); len(got) != int(j.sp.n) {
 			panic(fmt.Sprintf("esp: event %d stream has %d instructions, laid out for %d", ev.ID, len(got), j.sp.n))
 		}
 	})
 	return arena
+}
+
+// streamOf returns the offset in w's arena of the stream w holds for
+// ev at index i, normal or speculative, if it holds one. A stream is a
+// pure function of the profile, the event value and whether it is a
+// diverged speculative variant, so in a build of the same profile the
+// stream of an equal event at the same index is the same instructions.
+// An event that never diverges has one stream for both variants. A nil
+// w holds nothing.
+func (w *Workload) streamOf(i int, ev trace.Event, speculative bool) (int32, bool) {
+	if w == nil || i >= len(w.events) || w.events[i] != ev {
+		return 0, false
+	}
+	diverged := speculative && ev.Diverge >= 0
+	if (diverged || ev.Diverge < 0) && i < len(w.spec) {
+		return w.spec[i].off, true
+	}
+	if !diverged && i < w.nExec {
+		return w.normal[i].off, true
+	}
+	return 0, false
 }
 
 // forEachJob calls job(wk, k) for every k in [0, n). Inline, or with
@@ -356,10 +413,10 @@ func (w *Workload) copyInsts(insts []trace.Inst) span {
 
 // fromSession materializes a synthetic session. Each stream is exactly
 // the one eventq.SessionSource would generate on demand, written
-// directly into the arena.
+// directly into the arena, or taken from donor (see deriveWorkload).
 //
 //esp:ctor
-func (w *Workload) fromSession(sess *workload.Session, maxEvents int) {
+func (w *Workload) fromSession(sess *workload.Session, maxEvents int, donor *Workload) instCounts {
 	n := len(sess.Events)
 	w.events = sess.Events
 	w.nExec = execCount(n, maxEvents)
@@ -376,7 +433,38 @@ func (w *Workload) fromSession(sess *workload.Session, maxEvents int) {
 		w.pend[i] = span{off: int32(i + 1), n: int32(d)}
 	}
 	nSpec := specHorizon(n, w.nExec, w.pendTab, w.pend)
-	w.generateStreams(sess.Gen, sess.Events, nSpec)
+	if donor.sessionOrder(w.nExec, nSpec) {
+		// Prefix view: the donor's first nExec normal and nSpec
+		// speculative spans are this build's streams, in its arena.
+		w.normal = donor.normal[:w.nExec:w.nExec]
+		w.spec = donor.spec[:nSpec:nSpec]
+		w.arena = donor.arena
+		return instCounts{reused: w.streamInsts()}
+	}
+	return w.generateStreams(sess.Gen, sess.Events, nSpec, donor)
+}
+
+// sessionOrder reports whether w, a build of the same profile, holds a
+// session-order build's streams for nExec executed events and nSpec
+// speculative ones: it was laid out by fromSession (never reordered by
+// a schedule) and executes at least nExec events. The pending windows
+// and speculative horizon of a session-order build only grow with its
+// truncation, so a shorter build's spans are a prefix of w's.
+func (w *Workload) sessionOrder(nExec, nSpec int) bool {
+	return w != nil && w.trim && w.nExec >= nExec && len(w.spec) >= nSpec &&
+		(w.sched == nil || !anyTimed(w.events[:w.nExec]))
+}
+
+// streamInsts counts the instructions of w's distinct streams: the
+// arena a fresh build of w lays out.
+func (w *Workload) streamInsts() int64 {
+	n := w.Insts()
+	for i, sp := range w.spec {
+		if i >= w.nExec || sp != w.normal[i] {
+			n += int64(sp.n)
+		}
+	}
+	return n
 }
 
 // generateStreams materializes a session build's streams: for each
@@ -384,11 +472,11 @@ func (w *Workload) fromSession(sess *workload.Session, maxEvents int) {
 // a separate speculative one (otherwise both share a span); then a
 // speculative stream for each event up to the horizon nSpec. Spans sit
 // in the arena in that order. All of them are laid out first and then
-// generated concurrently (buildPlan.fill).
+// copied from donor or generated concurrently (buildPlan.fill).
 //
 //esp:ctor
-func (w *Workload) generateStreams(g *workload.Generator, evs []trace.Event, nSpec int) {
-	p := buildPlan{evs: evs, jobs: make([]genJob, 0, w.nExec+nSpec)}
+func (w *Workload) generateStreams(g *workload.Generator, evs []trace.Event, nSpec int, donor *Workload) instCounts {
+	p := buildPlan{evs: evs, donor: donor, jobs: make([]genJob, 0, w.nExec+nSpec)}
 	w.normal = make([]span, w.nExec)
 	w.spec = make([]span, nSpec)
 	for i := 0; i < w.nExec; i++ {
@@ -404,6 +492,7 @@ func (w *Workload) generateStreams(g *workload.Generator, evs []trace.Event, nSp
 		w.spec[i] = p.stream(i, true)
 	}
 	w.arena = p.fill(g)
+	return instCounts{reused: p.reused, generated: int64(p.end) - p.reused}
 }
 
 // fromSource materializes a generic source by copying its streams. When
@@ -490,13 +579,13 @@ func schedWindows(evs []trace.Event, dispatch []int64) []span {
 // so the speculative horizon is the executed prefix itself.
 //
 //esp:ctor
-func (w *Workload) fromSessionSched(sess *workload.Session, nExec int, sched *eventq.Schedule) {
+func (w *Workload) fromSessionSched(sess *workload.Session, nExec int, sched *eventq.Schedule, donor *Workload) instCounts {
 	w.nExec = nExec
 	evs := schedEvents(sess.Events[:nExec], sched)
 	w.events = evs
 	w.pendTab = evs
 	w.pend = schedWindows(evs, sched.Dispatch)
-	w.generateStreams(sess.Gen, evs, nExec)
+	return w.generateStreams(sess.Gen, evs, nExec, donor)
 }
 
 // fromSourceSched materializes a timed generic source in dispatch
