@@ -83,9 +83,12 @@ leak:
 # mid-shard and one quarantined behind injected network faults, must
 # complete via journal handoff bit-identical to the single-node golden
 # corpus, refuse digest-mismatched journals, and report every
-# quarantine, reschedule, and steal on the coordinator's /metrics.
+# quarantine, reschedule, and steal on the coordinator's /metrics. The
+# breaker interleaving it depends on — a probe that passed before a
+# trip must not reopen the node — is pinned deterministically too.
 cluster-chaos:
 	$(GO) test -race -count=1 -run 'TestClusterChaos|TestHandoffDigestMismatch|TestProbeQuarantines' ./internal/cluster -v
+	$(GO) test -race -count=1 -run 'TestStaleProbeKeepsBreakerOpen' ./internal/fault -v
 
 # fuzz-smoke gives every fuzz target a short adversarial shake on each
 # gate run (FUZZTIME per target); longer campaigns raise FUZZTIME.
@@ -114,13 +117,15 @@ sched-check:
 # fairness under saturation (completed-cell shares track tenant
 # weights), deadline-aware shedding (an expired sweep answers partial
 # results fast with zero simulation), per-tenant quotas with distinct
-# HTTP statuses, memory-pressure brownout with hysteresis recovery, and
-# the fleet-level chaos — a hedged straggler merging bit-identically and
-# a greedy tenant flood that cannot starve a victim on a degraded fleet.
+# HTTP statuses, memory-pressure brownout with hysteresis recovery,
+# every refusal's status and body error_kind on espd and espcoord, and
+# the fleet-level chaos — a hedged straggler merging bit-identically, a
+# greedy tenant flood that cannot starve a victim on a degraded fleet,
+# and a worker's refusal keeping its kind in the merged grid.
 overload:
 	$(GO) test -race -count=1 ./internal/tenantq -v
-	$(GO) test -race -count=1 -run 'TestTenantFairnessUnderSaturation|TestSweepExpiredDeadlineFastPath|TestRunDeadlineShedOnEvidence|TestTenantQuotaAndHeader|TestBrownoutDegradationAndRecovery' ./internal/serve -v
-	$(GO) test -race -count=1 -run 'TestHedgedStragglerParity|TestGreedyTenantFloodDegradedFleet' ./internal/cluster -v
+	$(GO) test -race -count=1 -run 'TestTenantFairnessUnderSaturation|TestSweepExpiredDeadlineFastPath|TestRunDeadlineShedOnEvidence|TestTenantQuotaAndHeader|TestBrownoutDegradationAndRecovery|TestRefusalBodiesCarryKind' ./internal/serve -v
+	$(GO) test -race -count=1 -run 'TestHedgedStragglerParity|TestGreedyTenantFloodDegradedFleet|TestWorkerRefusalKeepsKind' ./internal/cluster -v
 
 # tier1 is the robustness gate: everything must be green before merge.
 # race already runs the chaos soak and leak tests (they live in the

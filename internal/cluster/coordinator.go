@@ -162,14 +162,20 @@ func (c *Coordinator) Metrics() Snapshot {
 // merges the shard responses into one grid, cells in app-major
 // request order — the same shape a single espd answers. Shard
 // failures degrade to per-cell errors; Run itself only fails on an
-// invalid request or a canceled context.
+// invalid request (KindConfig), a tenant quota, or a canceled context.
 func (c *Coordinator) Run(ctx context.Context, req serve.SweepRequest) (serve.SweepResponse, error) {
-	if len(req.Configs) == 0 {
-		return serve.SweepResponse{}, errors.New("cluster: configs required")
-	}
-	if len(req.SweepID) > maxCoordSweepID {
-		return serve.SweepResponse{}, fmt.Errorf("cluster: sweep_id must be at most %d characters (shard journals append \".<app>\"), got %d",
+	var invalid error
+	switch {
+	case len(req.Configs) == 0:
+		invalid = errors.New("cluster: configs required")
+	case req.Shard != "":
+		invalid = errors.New("cluster: \"shard\" is set by the coordinator, not the client")
+	case len(req.SweepID) > maxCoordSweepID:
+		invalid = fmt.Errorf("cluster: sweep_id must be at most %d characters (shard journals append \".<app>\"), got %d",
 			maxCoordSweepID, len(req.SweepID))
+	}
+	if invalid != nil {
+		return serve.SweepResponse{}, fault.WithKind(invalid, fault.KindConfig)
 	}
 	apps := req.Apps
 	if len(apps) == 0 {
@@ -408,7 +414,8 @@ func (c *Coordinator) inspectJournal(sh *shard, req serve.SweepRequest) {
 // probeLoop health-checks the fleet on the probe interval, feeding
 // outcomes into the node breakers: a worker that stops answering
 // /healthz or /readyz is quarantined without burning a shard attempt,
-// and a recovered worker closes its breaker on the next green probe.
+// and a recovered worker closes its breaker on the next green probe —
+// unless a failure landed while that probe was in flight.
 func (c *Coordinator) probeLoop(ctx context.Context) {
 	ticker := time.NewTicker(c.opt.ProbeInterval)
 	defer ticker.Stop()
@@ -421,16 +428,15 @@ func (c *Coordinator) probeLoop(ctx context.Context) {
 		for _, name := range c.names {
 			w := c.workers[name]
 			c.met.Probes.Add(1)
+			record := c.breakers.BeginProbe(name)
 			pctx, cancel := context.WithTimeout(ctx, c.opt.ProbeTimeout)
 			err := w.Probe(pctx)
 			cancel()
 			if err != nil {
 				c.met.ProbeFailures.Add(1)
-				c.breakers.Record(name, false)
 				c.log.Warn("cluster probe failed", "worker", name, "err", err.Error())
-				continue
 			}
-			c.breakers.Record(name, true)
+			record(err == nil)
 		}
 	}
 }

@@ -1,15 +1,13 @@
 package cluster
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
 
+	"espsim/internal/fault"
 	"espsim/internal/serve"
-	"espsim/internal/tenantq"
 )
 
 // Server is the espcoord HTTP facade: the same POST /sweep contract a
@@ -43,71 +41,58 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	defer func() {
 		if p := recover(); p != nil {
 			s.log.Error("coordinator handler panic", "path", r.URL.Path, "panic", fmt.Sprint(p))
-			writeJSON(w, http.StatusInternalServerError, map[string]string{"error": "internal error"})
+			serve.WriteJSON(w, http.StatusInternalServerError, serve.ErrorResponse{Error: "internal error"})
 		}
 	}()
 	s.mux.ServeHTTP(w, r)
 }
 
+// handleSweep answers with espd's own contract: the request goes
+// through espd's parser, and every error — validation, tenant quota,
+// a canceled client — through espd's WriteError, so the status comes
+// from fault.HTTPStatus and the body names the kind.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, map[string]string{"error": "POST only"})
+		serve.WriteJSON(w, http.StatusMethodNotAllowed, serve.ErrorResponse{Error: "POST only"})
 		return
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.maxRequestBytes))
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+		serve.WriteError(w, fault.WithKind(err, fault.KindConfig))
 		return
 	}
-	// The wire contract is espd's own: one parser, one validation.
 	req, err := serve.ParseSweepRequest(body)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
-		return
-	}
-	if req.Shard != "" {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "\"shard\" is set by the coordinator, not the client"})
+		serve.WriteError(w, err)
 		return
 	}
 	resp, err := s.c.Run(r.Context(), req)
 	if err != nil {
-		status := http.StatusBadRequest
-		if errors.Is(err, tenantq.ErrQuota) {
-			status = http.StatusTooManyRequests
-		}
-		writeJSON(w, status, map[string]string{"error": err.Error()})
+		serve.WriteError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	serve.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeJSON(w, http.StatusMethodNotAllowed, map[string]string{"error": "GET only"})
+		serve.WriteJSON(w, http.StatusMethodNotAllowed, serve.ErrorResponse{Error: "GET only"})
 		return
 	}
-	writeJSON(w, http.StatusOK, s.c.Metrics())
+	serve.WriteJSON(w, http.StatusOK, s.c.Metrics())
 }
 
 func (s *Server) handleWorkers(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeJSON(w, http.StatusMethodNotAllowed, map[string]string{"error": "GET only"})
+		serve.WriteJSON(w, http.StatusMethodNotAllowed, serve.ErrorResponse{Error: "GET only"})
 		return
 	}
-	writeJSON(w, http.StatusOK, struct {
+	serve.WriteJSON(w, http.StatusOK, struct {
 		Placements []Placement   `json:"placements"`
 		Workers    []WorkerState `json:"workers"`
 	}{s.c.Placements(nil), s.c.Metrics().Workers})
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	_ = enc.Encode(v)
+	serve.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }

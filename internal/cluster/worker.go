@@ -15,7 +15,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -23,7 +22,6 @@ import (
 	"strings"
 	"sync/atomic"
 
-	"espsim/internal/checkpoint"
 	"espsim/internal/fault"
 	"espsim/internal/serve"
 )
@@ -37,13 +35,9 @@ import (
 // coordinator's NetFaults breaker accounting.
 var ErrWorkerDown = fault.Sentinel("cluster: worker down", fault.KindNet)
 
-// JournalView is a worker-agnostic read of one sweep journal: the
-// digest-bearing header plus the "app/config" cells already durable.
-type JournalView struct {
-	Meta  checkpoint.Meta `json:"meta"`
-	Cells []string        `json:"cells"`
-	Torn  bool            `json:"torn,omitempty"`
-}
+// JournalView is a worker-agnostic read of one sweep journal: espd's
+// GET /journalz body.
+type JournalView = serve.JournalView
 
 // Worker is the coordinator's view of one espd node. Implementations:
 // LocalWorker embeds a *serve.Server in-process (tests, single-binary
@@ -60,6 +54,54 @@ type Worker interface {
 	PeekJournal(ctx context.Context, sweepID string) (JournalView, bool, error)
 }
 
+// endpoint speaks the Worker protocol over one way of reaching an espd
+// HTTP API: call sends one request and returns the status and body, or
+// an ErrWorkerDown error when no answer came back.
+type endpoint struct {
+	name string
+	call func(ctx context.Context, method, path string, body []byte) (code int, raw []byte, err error)
+}
+
+// Name implements Worker.
+func (e endpoint) Name() string { return e.name }
+
+// Sweep implements Worker.
+func (e endpoint) Sweep(ctx context.Context, req serve.SweepRequest) (resp serve.SweepResponse, err error) {
+	body, err := json.Marshal(req)
+	if err != nil {
+		return resp, err
+	}
+	code, raw, err := e.call(ctx, http.MethodPost, "/sweep", body)
+	if err == nil {
+		err = decodeWorkerResponse(e.name, code, raw, &resp)
+	}
+	return resp, err
+}
+
+// Probe implements Worker: liveness and readiness in one check.
+func (e endpoint) Probe(ctx context.Context) error {
+	for _, path := range []string{"/healthz", "/readyz"} {
+		code, _, err := e.call(ctx, http.MethodGet, path, nil)
+		if err != nil {
+			return err
+		}
+		if code != http.StatusOK {
+			return fmt.Errorf("%w: %s: %s answered %d", ErrWorkerDown, e.name, path, code)
+		}
+	}
+	return nil
+}
+
+// PeekJournal implements Worker.
+func (e endpoint) PeekJournal(ctx context.Context, sweepID string) (view JournalView, ok bool, err error) {
+	code, raw, err := e.call(ctx, http.MethodGet, "/journalz?sweep_id="+url.QueryEscape(sweepID), nil)
+	if err != nil || code == http.StatusNotFound {
+		return view, false, err
+	}
+	err = decodeWorkerResponse(e.name, code, raw, &view)
+	return view, err == nil, err
+}
+
 // LocalWorker adapts an in-process *serve.Server to the Worker
 // interface by driving its HTTP handlers directly — the same code
 // path a remote daemon serves, minus the socket. Kill simulates
@@ -68,18 +110,17 @@ type Worker interface {
 // way a dying process's unsent response would be; its journal appends
 // up to the kill are already durable, which is the point).
 type LocalWorker struct {
-	name string
+	endpoint
 	srv  *serve.Server
 	dead atomic.Bool
 }
 
 // NewLocalWorker wraps srv as the named fleet member.
 func NewLocalWorker(name string, srv *serve.Server) *LocalWorker {
-	return &LocalWorker{name: name, srv: srv}
+	lw := &LocalWorker{srv: srv}
+	lw.endpoint = endpoint{name: name, call: lw.call}
+	return lw
 }
-
-// Name implements Worker.
-func (lw *LocalWorker) Name() string { return lw.name }
 
 // Server exposes the embedded daemon (tests wire fault hooks to it).
 func (lw *LocalWorker) Server() *serve.Server { return lw.srv }
@@ -89,72 +130,28 @@ func (lw *LocalWorker) Server() *serve.Server { return lw.srv }
 // either), but no result reaches the coordinator again.
 func (lw *LocalWorker) Kill() { lw.dead.Store(true) }
 
-// Sweep implements Worker.
-func (lw *LocalWorker) Sweep(ctx context.Context, req serve.SweepRequest) (serve.SweepResponse, error) {
+func (lw *LocalWorker) call(ctx context.Context, method, path string, body []byte) (int, []byte, error) {
 	if lw.dead.Load() {
-		return serve.SweepResponse{}, fmt.Errorf("%w: %s", ErrWorkerDown, lw.name)
+		return 0, nil, fmt.Errorf("%w: %s", ErrWorkerDown, lw.name)
 	}
-	body, err := json.Marshal(req)
-	if err != nil {
-		return serve.SweepResponse{}, err
-	}
-	rec := lw.do(ctx, http.MethodPost, "/sweep", body)
+	rec := lw.do(ctx, method, path, body)
 	if lw.dead.Load() {
 		// Died mid-request: the handler finished (journal closed), but
 		// the process is gone before the response made it out.
-		return serve.SweepResponse{}, fmt.Errorf("%w: %s died mid-sweep", ErrWorkerDown, lw.name)
+		return 0, nil, fmt.Errorf("%w: %s died mid-request", ErrWorkerDown, lw.name)
 	}
-	var resp serve.SweepResponse
-	if err := decodeWorkerResponse(lw.name, rec.code, rec.buf.Bytes(), &resp); err != nil {
-		return serve.SweepResponse{}, err
-	}
-	return resp, nil
-}
-
-// Probe implements Worker: liveness and readiness in one check.
-func (lw *LocalWorker) Probe(ctx context.Context) error {
-	if lw.dead.Load() {
-		return fmt.Errorf("%w: %s", ErrWorkerDown, lw.name)
-	}
-	for _, path := range []string{"/healthz", "/readyz"} {
-		if rec := lw.do(ctx, http.MethodGet, path, nil); rec.code != http.StatusOK {
-			return fmt.Errorf("%w: %s: %s answered %d", ErrWorkerDown, lw.name, path, rec.code)
-		}
-	}
-	return nil
-}
-
-// PeekJournal implements Worker.
-func (lw *LocalWorker) PeekJournal(ctx context.Context, sweepID string) (JournalView, bool, error) {
-	if lw.dead.Load() {
-		return JournalView{}, false, fmt.Errorf("%w: %s", ErrWorkerDown, lw.name)
-	}
-	rec := lw.do(ctx, http.MethodGet, "/journalz?sweep_id="+url.QueryEscape(sweepID), nil)
-	if rec.code == http.StatusNotFound {
-		return JournalView{}, false, nil
-	}
-	var view JournalView
-	if err := decodeWorkerResponse(lw.name, rec.code, rec.buf.Bytes(), &view); err != nil {
-		return JournalView{}, false, err
-	}
-	return view, true, nil
+	return rec.code, rec.buf.Bytes(), nil
 }
 
 // do drives one handler call through the server's full middleware
 // stack and captures the response in memory.
 func (lw *LocalWorker) do(ctx context.Context, method, target string, body []byte) *memResponse {
-	var rdr io.Reader
-	if body != nil {
-		rdr = bytes.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, target, rdr)
+	rec := &memResponse{code: http.StatusOK, hdr: http.Header{}}
+	req, err := http.NewRequestWithContext(ctx, method, target, bytes.NewReader(body))
 	if err != nil {
-		rec := newMemResponse()
-		rec.code = http.StatusInternalServerError
-		fmt.Fprintf(&rec.buf, `{"error":%q}`, err.Error())
+		serve.WriteError(rec, err)
 		return rec
 	}
-	rec := newMemResponse()
 	lw.srv.ServeHTTP(rec, req)
 	return rec
 }
@@ -166,16 +163,15 @@ type memResponse struct {
 	buf  bytes.Buffer
 }
 
-func newMemResponse() *memResponse                 { return &memResponse{code: http.StatusOK, hdr: http.Header{}} }
 func (m *memResponse) Header() http.Header         { return m.hdr }
 func (m *memResponse) WriteHeader(c int)           { m.code = c }
 func (m *memResponse) Write(p []byte) (int, error) { return m.buf.Write(p) }
 
 // HTTPWorker fronts a remote espd daemon. Transport failures surface
 // as ErrWorkerDown (outcome unknown: reschedule); HTTP-level refusals
-// carry the daemon's own error string.
+// carry the daemon's own error string and kind.
 type HTTPWorker struct {
-	name    string
+	endpoint
 	baseURL string
 	client  *http.Client
 }
@@ -186,89 +182,40 @@ func NewHTTPWorker(name, baseURL string, client *http.Client) *HTTPWorker {
 	if client == nil {
 		client = http.DefaultClient
 	}
-	return &HTTPWorker{name: name, baseURL: strings.TrimRight(baseURL, "/"), client: client}
+	hw := &HTTPWorker{baseURL: strings.TrimRight(baseURL, "/"), client: client}
+	hw.endpoint = endpoint{name: name, call: hw.call}
+	return hw
 }
 
-// Name implements Worker.
-func (hw *HTTPWorker) Name() string { return hw.name }
-
-// Sweep implements Worker.
-func (hw *HTTPWorker) Sweep(ctx context.Context, req serve.SweepRequest) (serve.SweepResponse, error) {
-	var resp serve.SweepResponse
-	err := hw.do(ctx, http.MethodPost, "/sweep", req, &resp)
-	return resp, err
-}
-
-// Probe implements Worker.
-func (hw *HTTPWorker) Probe(ctx context.Context) error {
-	for _, path := range []string{"/healthz", "/readyz"} {
-		if err := hw.do(ctx, http.MethodGet, path, nil, &struct{}{}); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// PeekJournal implements Worker.
-func (hw *HTTPWorker) PeekJournal(ctx context.Context, sweepID string) (JournalView, bool, error) {
-	var view JournalView
-	err := hw.do(ctx, http.MethodGet, "/journalz?sweep_id="+url.QueryEscape(sweepID), nil, &view)
-	var he *workerHTTPError
-	if errors.As(err, &he) && he.code == http.StatusNotFound {
-		return JournalView{}, false, nil
-	}
+func (hw *HTTPWorker) call(ctx context.Context, method, path string, body []byte) (int, []byte, error) {
+	req, err := http.NewRequestWithContext(ctx, method, hw.baseURL+path, bytes.NewReader(body))
 	if err != nil {
-		return JournalView{}, false, err
+		return 0, nil, err
 	}
-	return view, true, nil
-}
-
-func (hw *HTTPWorker) do(ctx context.Context, method, path string, body, out any) error {
-	var rdr io.Reader
 	if body != nil {
-		raw, err := json.Marshal(body)
-		if err != nil {
-			return err
-		}
-		rdr = bytes.NewReader(raw)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, hw.baseURL+path, rdr)
-	if err != nil {
-		return err
-	}
-	if rdr != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
 	resp, err := hw.client.Do(req)
 	if err != nil {
-		return fmt.Errorf("%w: %s: %v", ErrWorkerDown, hw.name, err)
+		return 0, nil, fmt.Errorf("%w: %s: %v", ErrWorkerDown, hw.name, err)
 	}
 	defer resp.Body.Close()
 	raw, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
 	if err != nil {
-		return fmt.Errorf("%w: %s: reading response: %v", ErrWorkerDown, hw.name, err)
+		return 0, nil, fmt.Errorf("%w: %s: reading response: %v", ErrWorkerDown, hw.name, err)
 	}
-	return decodeWorkerResponse(hw.name, resp.StatusCode, raw, out)
+	return resp.StatusCode, raw, nil
 }
 
-// workerHTTPError is a non-200 a live worker chose to send — the node
-// is up, the request was refused (or the resource absent).
-type workerHTTPError struct {
-	worker string
-	code   int
-	msg    string
-}
-
-func (e *workerHTTPError) Error() string {
-	return fmt.Sprintf("cluster: worker %s answered %d: %s", e.worker, e.code, e.msg)
-}
-
-// decodeWorkerResponse maps one worker reply onto out: 200 decodes,
-// anything else becomes a workerHTTPError carrying the daemon's
-// {"error": ...} message. One exception: a 504 sweep body that parses
-// as a grid is a deadline shed — every cell is answered (some with
-// ErrorKind "deadline_shed"), which is a result to merge, not a node
-// failure to reschedule against a deadline that already passed.
+// decodeWorkerResponse maps one worker reply onto out: 200 decodes;
+// anything else is a refusal from a live node, an error carrying the
+// daemon's {"error": ..., "error_kind": ...} body and tagged with that
+// kind, so it classifies on the coordinator as it did on the worker (a
+// merged cell reports "brownout", not "error"). One exception: a 504
+// sweep body that parses as a grid is a deadline shed — every cell is
+// answered (some with ErrorKind "deadline_shed"), which is a result to
+// merge, not a node failure to reschedule against a deadline that
+// already passed.
 func decodeWorkerResponse(worker string, code int, raw []byte, out any) error {
 	if code == http.StatusGatewayTimeout {
 		if sresp, ok := out.(*serve.SweepResponse); ok {
@@ -280,14 +227,12 @@ func decodeWorkerResponse(worker string, code int, raw []byte, out any) error {
 		}
 	}
 	if code != http.StatusOK {
-		var eresp struct {
-			Error string `json:"error"`
-		}
+		var eresp serve.ErrorResponse
 		_ = json.Unmarshal(raw, &eresp)
 		if eresp.Error == "" {
 			eresp.Error = strings.TrimSpace(string(raw))
 		}
-		return &workerHTTPError{worker: worker, code: code, msg: eresp.Error}
+		return fault.WithKind(fmt.Errorf("cluster: worker %s answered %d: %s", worker, code, eresp.Error), eresp.ErrorKind)
 	}
 	if err := json.Unmarshal(raw, out); err != nil {
 		return fmt.Errorf("cluster: worker %s: undecodable response: %w", worker, err)

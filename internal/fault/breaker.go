@@ -20,7 +20,8 @@ type breakerCell struct {
 	fails    int // consecutive failures
 	trips    int // consecutive closed→open (or re-open) transitions; drives escalation
 	openedAt time.Time
-	probing  bool // a half-open probe is in flight
+	probing  bool   // a half-open probe is in flight
+	gen      uint64 // failures ever recorded: see BeginProbe
 }
 
 // BreakerSet is a family of circuit breakers keyed by string — one per
@@ -131,6 +132,34 @@ func (b *BreakerSet) Record(key string, ok bool) {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	b.recordLocked(key, ok)
+}
+
+// BeginProbe starts an out-of-band health probe of key and returns the
+// function that records its outcome. A failure records like Record. A
+// success is dropped when a failure was recorded after the probe
+// began: the probe saw the node before that failure, and closing the
+// breaker on its word would un-quarantine a node that has just failed.
+func (b *BreakerSet) BeginProbe(key string) (record func(ok bool)) {
+	if b == nil {
+		return func(bool) {}
+	}
+	var gen uint64
+	b.mu.Lock()
+	if c := b.cells[key]; c != nil {
+		gen = c.gen
+	}
+	b.mu.Unlock()
+	return func(ok bool) {
+		b.mu.Lock()
+		defer b.mu.Unlock()
+		if c := b.cells[key]; !ok || c == nil || c.gen == gen {
+			b.recordLocked(key, ok)
+		}
+	}
+}
+
+func (b *BreakerSet) recordLocked(key string, ok bool) {
 	c := b.cells[key]
 	if c == nil {
 		c = &breakerCell{}
@@ -147,6 +176,7 @@ func (b *BreakerSet) Record(key string, ok bool) {
 		return
 	}
 	c.fails++
+	c.gen++
 	switch c.state {
 	case stateHalfOpen:
 		// The probe failed: back to a (possibly escalated) cooldown.

@@ -3,6 +3,8 @@ package fault
 import (
 	"context"
 	"errors"
+	"net/http"
+	"slices"
 
 	"espsim/internal/sim"
 	"espsim/internal/trace"
@@ -42,15 +44,15 @@ const (
 	KindConfig ErrorKind = "config"
 	// KindQuota: a tenant exhausted one of its quotas — queue depth,
 	// in-flight cells, cumulative cell budget, or token-bucket rate
-	// (tenantq.ErrQuota; espd maps it to 429).
+	// (tenantq.ErrQuota).
 	KindQuota ErrorKind = "quota"
 	// KindBrownout: the daemon is degrading under memory pressure and
 	// refused work its brownout level does not admit
-	// (tenantq.ErrBrownout; espd maps it to 503).
+	// (tenantq.ErrBrownout).
 	KindBrownout ErrorKind = "brownout"
 	// KindShed: the work was dropped because it provably could not
 	// finish before its deadline — shed at admission or per cell, never
-	// attempted (tenantq.ErrDeadlineShed; espd maps it to 504).
+	// attempted (tenantq.ErrDeadlineShed).
 	KindShed ErrorKind = "deadline_shed"
 	// KindError is the fallback for an unclassified failure.
 	KindError ErrorKind = "error"
@@ -102,6 +104,33 @@ func Classify(err error) ErrorKind {
 	}
 }
 
+// HTTPStatus is the one table from error kind to HTTP status: espd and
+// espcoord answer every error that carries a kind with this status, and
+// name the kind in the body's "error_kind". The switch deliberately has
+// no default, so esplint's kindtotal rejects a new kind until it has a
+// row here.
+func HTTPStatus(k ErrorKind) int {
+	switch k {
+	case KindNone:
+		return http.StatusOK
+	case KindConfig, KindBuild:
+		return http.StatusBadRequest
+	case KindQuota:
+		return http.StatusTooManyRequests
+	case KindBrownout, KindBreakerOpen:
+		return http.StatusServiceUnavailable
+	case KindTimeout, KindShed:
+		return http.StatusGatewayTimeout
+	case KindCanceled:
+		return 499 // nginx's "client closed request": nobody is left to read it
+	case KindNet:
+		return http.StatusBadGateway
+	case KindPanic, KindInjected, KindError:
+		return http.StatusInternalServerError
+	}
+	return http.StatusInternalServerError // a value outside Kinds()
+}
+
 // Sentinel builds a package-level error that carries its own ErrorKind,
 // for sentinels declared outside this package: Classify recovers the
 // kind with errors.As, so the declaring package never needs an
@@ -112,12 +141,25 @@ func Sentinel(msg string, k ErrorKind) error {
 	return &kindSentinel{msg: msg, kind: k}
 }
 
+// WithKind tags err with kind k, keeping its message and its chain:
+// how validation sites mark their errors KindConfig, and how a
+// coordinator restores the kind a worker named in its error body. A
+// nil err, or a k outside Kinds(), returns err unchanged.
+func WithKind(err error, k ErrorKind) error {
+	if err == nil || !slices.Contains(Kinds(), k) {
+		return err
+	}
+	return &kindSentinel{msg: err.Error(), kind: k, err: err}
+}
+
 type kindSentinel struct {
 	msg  string
 	kind ErrorKind
+	err  error // the tagged error (WithKind); nil for a Sentinel
 }
 
 func (e *kindSentinel) Error() string { return e.msg }
+func (e *kindSentinel) Unwrap() error { return e.err }
 
 // Retryable reports whether a failure is worth another attempt on the
 // same node: timeouts (a transient stall may clear), panics (the

@@ -231,3 +231,36 @@ func TestBreakerStateOf(t *testing.T) {
 		t.Fatal("nil set must report closed")
 	}
 }
+
+// TestStaleProbeKeepsBreakerOpen pins the probe/trip interleaving: a
+// health probe that began before a failure tripped the breaker, and
+// then passed, must not close it — it saw the node before the failure.
+// A probe begun after the trip still closes it.
+func TestStaleProbeKeepsBreakerOpen(t *testing.T) {
+	b := NewBreakerSet(1, time.Hour)
+	record := b.BeginProbe("node")
+	b.Record("node", false) // a shard failure trips the breaker meanwhile
+	record(true)
+	if got := b.StateOf("node"); got != "open" {
+		t.Fatalf("stale passing probe left the breaker %s, want open", got)
+	}
+	if b.OpenCount() != 1 || b.Trips() != 1 {
+		t.Fatalf("open %d trips %d, want 1/1", b.OpenCount(), b.Trips())
+	}
+
+	b.BeginProbe("node")(true)
+	if got := b.StateOf("node"); got != "closed" {
+		t.Fatalf("fresh passing probe left the breaker %s, want closed", got)
+	}
+	if b.OpenCount() != 0 {
+		t.Fatalf("open %d after recovery, want 0", b.OpenCount())
+	}
+
+	// A failing probe records however stale it is.
+	record = b.BeginProbe("node")
+	b.Record("node", false)
+	record(false)
+	if got := b.StateOf("node"); got != "open" || b.Trips() != 2 {
+		t.Fatalf("failing probe: breaker %s after %d trips, want open after 2", got, b.Trips())
+	}
+}

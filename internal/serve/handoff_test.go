@@ -155,7 +155,7 @@ func TestJournalzPeek(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("journalz: status %d: %s", rec.Code, rec.Body.String())
 	}
-	var jz journalzResponse
+	var jz JournalView
 	if err := json.Unmarshal(rec.Body.Bytes(), &jz); err != nil {
 		t.Fatal(err)
 	}

@@ -265,6 +265,13 @@ func TestTenantQuotaAndHeader(t *testing.T) {
 // run (uncached, counted as bypasses) — and once the trim has the
 // footprint back under the exit watermarks, the controller walks back
 // to normal on its own.
+//
+// Every browned-out step observes the level synchronously: the
+// server's own loop ticks hourly, so the only observations are the one
+// the test makes and the one each admission makes, and the level
+// cannot step down mid-assertion however loaded the host is. The
+// recovery is then left to the background loop alone, started at a
+// 5ms cadence.
 func TestBrownoutDegradationAndRecovery(t *testing.T) {
 	// The budget is exactly one 32-event amazon workload: the runner's
 	// own eviction leaves the cache at 100% of budget (past every entry
@@ -277,11 +284,10 @@ func TestBrownoutDegradationAndRecovery(t *testing.T) {
 	s := testServer(t, Options{
 		Workers:   2,
 		MemBudget: wl.Bytes(),
-		// Slow recovery (ticks are 5ms, 20 calm ticks per step) keeps
-		// the browned-out window comfortably wider than the assertions
-		// inside it, while full recovery still lands well under a second.
+		// 20 calm observations per step: the two admissions below are
+		// two of them, far from a step down.
 		Brownout:         tenantq.BrownoutConfig{RecoverAfter: 20},
-		BrownoutInterval: 5 * time.Millisecond,
+		BrownoutInterval: time.Hour,
 	})
 	defer s.Close()
 
@@ -289,7 +295,9 @@ func TestBrownoutDegradationAndRecovery(t *testing.T) {
 	if rec := post(t, s, "/run", RunRequest{App: "amazon", Config: "base", MaxEvents: 32, Tenant: "heavy"}); rec.Code != http.StatusOK {
 		t.Fatalf("first run: status %d: %s", rec.Code, rec.Body.String())
 	}
-	waitFor(t, func() bool { return s.brown.Level() == tenantq.BrownSmallOnly })
+	if level := s.observeBrownout(); level != tenantq.BrownSmallOnly {
+		t.Fatalf("level after the budget-filling run: %s, want %s", level, tenantq.BrownSmallOnly)
+	}
 
 	// Unbounded work is refused while browned out...
 	rec := post(t, s, "/run", RunRequest{App: "bing", Config: "base", Tenant: "heavy"})
@@ -309,6 +317,7 @@ func TestBrownoutDegradationAndRecovery(t *testing.T) {
 
 	// The trim emptied the cache, so calm observations walk the
 	// controller back down to normal and caching resumes.
+	go s.brownoutLoop(5 * time.Millisecond) // stopped by s.Close
 	waitFor(t, func() bool { return s.brown.Level() == tenantq.BrownNormal })
 	if rec := post(t, s, "/run", RunRequest{App: "bing", Config: "base", Tenant: "heavy"}); rec.Code != http.StatusOK {
 		t.Fatalf("unbounded run after recovery: status %d: %s", rec.Code, rec.Body.String())

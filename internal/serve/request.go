@@ -14,6 +14,7 @@ import (
 
 	esp "espsim"
 	"espsim/internal/eventq"
+	"espsim/internal/fault"
 	"espsim/internal/sim"
 	"espsim/internal/tenantq"
 	"espsim/internal/trace"
@@ -103,9 +104,8 @@ type SweepCell struct {
 	App    string      `json:"app"`
 	Config string      `json:"config"`
 	Result *esp.Result `json:"result,omitempty"`
-	// Error is the final attempt's message; ErrorKind classifies it
-	// ("timeout", "panic", "build", "injected", "canceled", "config",
-	// "error") so clients can branch without parsing prose.
+	// Error is the final attempt's message; ErrorKind classifies it (a
+	// fault.ErrorKind) so clients can branch without parsing prose.
 	Error     string `json:"error,omitempty"`
 	ErrorKind string `json:"error_kind,omitempty"`
 	// Attempts counts how many times the cell ran (0 when skipped or
@@ -146,16 +146,19 @@ func decodeStrict(data []byte, v any) error {
 }
 
 // ParseRunRequest decodes and validates a POST /run body. Workload and
-// configuration names are resolved here (so errors are 400s), but the
-// inline trace — if any — is only syntax-checked later, under the
-// server's limits, by resolve.
+// configuration names are resolved here (so errors are KindConfig, a
+// 400), but the inline trace — if any — is only syntax-checked later,
+// under the server's limits, by resolve.
 func ParseRunRequest(data []byte) (RunRequest, error) {
 	var req RunRequest
-	if err := decodeStrict(data, &req); err != nil {
-		return RunRequest{}, fmt.Errorf("decoding run request: %w", err)
+	err := decodeStrict(data, &req)
+	if err != nil {
+		err = fmt.Errorf("decoding run request: %w", err)
+	} else {
+		err = req.validate()
 	}
-	if err := req.validate(); err != nil {
-		return RunRequest{}, err
+	if err != nil {
+		return RunRequest{}, fault.WithKind(err, fault.KindConfig)
 	}
 	return req, nil
 }
@@ -168,90 +171,84 @@ func (req *RunRequest) validate() error {
 		return fmt.Errorf("\"app\" and \"trace_b64\" are mutually exclusive")
 	case req.Config == "":
 		return fmt.Errorf("\"config\" is required (one of: %s)", strings.Join(esp.ConfigNames(), ", "))
-	case req.Scale < 0 || req.Scale > maxScale:
-		return fmt.Errorf("\"scale\" must be in (0, %d], got %g", maxScale, req.Scale)
-	case req.MaxEvents < 0:
-		return fmt.Errorf("\"max_events\" must be non-negative, got %d", req.MaxEvents)
-	case req.MaxPending < 0:
-		return fmt.Errorf("\"max_pending\" must be non-negative, got %d", req.MaxPending)
-	case req.TimeoutMs < 0:
-		return fmt.Errorf("\"timeout_ms\" must be non-negative, got %d", req.TimeoutMs)
+	case req.TraceB64 != "" && req.Scale != 0 && req.Scale != 1:
+		return fmt.Errorf("\"scale\" does not apply to an inline trace")
+	}
+	if err := validateKnobs(req.Scale, req.MaxEvents, req.MaxPending, req.TimeoutMs, req.Tenant, req.DeadlineMs); err != nil {
+		return err
 	}
 	if req.App != "" {
 		if _, err := workload.ByName(req.App); err != nil {
 			return err
 		}
 	}
-	if req.TraceB64 != "" && req.Scale != 0 && req.Scale != 1 {
-		return fmt.Errorf("\"scale\" does not apply to an inline trace")
-	}
-	if err := validateID("tenant", req.Tenant); err != nil {
-		return err
-	}
-	if err := validateDeadline(req.DeadlineMs); err != nil {
-		return err
-	}
-	if _, err := cellConfig(req.Config, req.Sched, 0, 0); err != nil {
-		return err
-	}
-	return nil
+	_, err := cellConfig(req.Config, req.Sched, 0, 0)
+	return err
 }
 
 // maxDeadlineMs bounds a relative deadline to 24 hours: anything larger
 // is a typo (and would overflow Duration math long before mattering).
 const maxDeadlineMs = 24 * 60 * 60 * 1000
 
-// validateDeadline bounds deadline_ms. Negative values are legal —
-// "already expired" — but bounded too, so arrival+deadline stays inside
-// Duration range.
-func validateDeadline(ms int64) error {
-	if ms > maxDeadlineMs || ms < -maxDeadlineMs {
-		return fmt.Errorf("\"deadline_ms\" must be within ±%d (24h), got %d", int64(maxDeadlineMs), ms)
+// validateKnobs checks the fields /run and /sweep share. A negative
+// deadline_ms is legal — "already expired" — but bounded like a
+// positive one, so arrival+deadline stays inside Duration range.
+func validateKnobs(scale float64, maxEvents, maxPending, timeoutMs int, tenant string, deadlineMs int64) error {
+	switch {
+	case scale < 0 || scale > maxScale:
+		return fmt.Errorf("\"scale\" must be in (0, %d], got %g", maxScale, scale)
+	case maxEvents < 0:
+		return fmt.Errorf("\"max_events\" must be non-negative, got %d", maxEvents)
+	case maxPending < 0:
+		return fmt.Errorf("\"max_pending\" must be non-negative, got %d", maxPending)
+	case timeoutMs < 0:
+		return fmt.Errorf("\"timeout_ms\" must be non-negative, got %d", timeoutMs)
+	case deadlineMs > maxDeadlineMs || deadlineMs < -maxDeadlineMs:
+		return fmt.Errorf("\"deadline_ms\" must be within ±%d (24h), got %d", int64(maxDeadlineMs), deadlineMs)
 	}
-	return nil
+	return validateID("tenant", tenant)
 }
 
-// ParseSweepRequest decodes and validates a POST /sweep body.
+// ParseSweepRequest decodes and validates a POST /sweep body; every
+// error is KindConfig.
 func ParseSweepRequest(data []byte) (SweepRequest, error) {
 	var req SweepRequest
-	if err := decodeStrict(data, &req); err != nil {
-		return SweepRequest{}, fmt.Errorf("decoding sweep request: %w", err)
+	err := decodeStrict(data, &req)
+	if err != nil {
+		err = fmt.Errorf("decoding sweep request: %w", err)
+	} else {
+		err = req.validate()
 	}
-	switch {
-	case len(req.Configs) == 0:
-		return SweepRequest{}, fmt.Errorf("\"configs\" is required (one or more of: %s)", strings.Join(esp.ConfigNames(), ", "))
-	case req.Scale < 0 || req.Scale > maxScale:
-		return SweepRequest{}, fmt.Errorf("\"scale\" must be in (0, %d], got %g", maxScale, req.Scale)
-	case req.MaxEvents < 0:
-		return SweepRequest{}, fmt.Errorf("\"max_events\" must be non-negative, got %d", req.MaxEvents)
-	case req.MaxPending < 0:
-		return SweepRequest{}, fmt.Errorf("\"max_pending\" must be non-negative, got %d", req.MaxPending)
-	case req.TimeoutMs < 0:
-		return SweepRequest{}, fmt.Errorf("\"timeout_ms\" must be non-negative, got %d", req.TimeoutMs)
+	if err != nil {
+		return SweepRequest{}, fault.WithKind(err, fault.KindConfig)
+	}
+	return req, nil
+}
+
+func (req *SweepRequest) validate() error {
+	if len(req.Configs) == 0 {
+		return fmt.Errorf("\"configs\" is required (one or more of: %s)", strings.Join(esp.ConfigNames(), ", "))
+	}
+	if err := validateKnobs(req.Scale, req.MaxEvents, req.MaxPending, req.TimeoutMs, req.Tenant, req.DeadlineMs); err != nil {
+		return err
 	}
 	if err := validateID("sweep_id", req.SweepID); err != nil {
-		return SweepRequest{}, err
+		return err
 	}
 	if err := validateID("shard", req.Shard); err != nil {
-		return SweepRequest{}, err
-	}
-	if err := validateID("tenant", req.Tenant); err != nil {
-		return SweepRequest{}, err
-	}
-	if err := validateDeadline(req.DeadlineMs); err != nil {
-		return SweepRequest{}, err
+		return err
 	}
 	for _, app := range req.Apps {
 		if _, err := workload.ByName(app); err != nil {
-			return SweepRequest{}, err
+			return err
 		}
 	}
 	for _, name := range req.Configs {
 		if _, err := cellConfig(name, req.Sched, 0, 0); err != nil {
-			return SweepRequest{}, err
+			return err
 		}
 	}
-	return req, nil
+	return nil
 }
 
 // validateID keeps sweep and shard IDs filename-safe: sweep IDs name
@@ -346,21 +343,24 @@ func traceWorkload(traceB64 string, maxEvents int, policy esp.SchedPolicy, lim t
 // cache keyed by (profile, MaxEvents) — which subsumes (app, scale),
 // since scale changes the profile value — so concurrent requests share
 // one materialized arena.
+//
+// Its errors are KindConfig, or KindBuild when the workload or trace
+// failed to materialize; both are the request's fault (400).
 func resolve(r *sim.Runner, req RunRequest, lim trace.Limits) (*sim.Workload, esp.Config, error) {
 	cfg, err := cellConfig(req.Config, req.Sched, req.MaxEvents, req.MaxPending)
 	if err != nil {
-		return nil, esp.Config{}, err
+		return nil, esp.Config{}, fault.WithKind(err, fault.KindConfig)
 	}
+	var w *sim.Workload
 	if req.TraceB64 != "" {
-		w, err := traceWorkload(req.TraceB64, cfg.MaxEvents, cfg.Sched, lim)
-		return w, cfg, err
+		w, err = traceWorkload(req.TraceB64, cfg.MaxEvents, cfg.Sched, lim)
+	} else {
+		var prof workload.Profile
+		if prof, err = scaledProfile(req.App, req.Scale); err == nil {
+			w, err = r.WorkloadSched(prof, cfg.MaxEvents, cfg.Sched)
+		}
 	}
-	prof, err := scaledProfile(req.App, req.Scale)
-	if err != nil {
-		return nil, esp.Config{}, err
-	}
-	w, err := r.WorkloadSched(prof, cfg.MaxEvents, cfg.Sched)
-	return w, cfg, err
+	return w, cfg, fault.WithKind(err, fault.KindConfig)
 }
 
 // appNames lists the paper-suite applications. It doubles as the
@@ -390,14 +390,14 @@ const tenantHeader = "X-ESP-Tenant"
 
 // resolveTenant joins the body field and the header into one tenant
 // name: either may set it, both only in agreement, and legacy clients
-// that set neither land on the "default" tenant.
+// that set neither land on the "default" tenant. Errors are KindConfig.
 func resolveTenant(field, header string) (string, error) {
 	if err := validateID("tenant", header); err != nil {
-		return "", err
+		return "", fault.WithKind(err, fault.KindConfig)
 	}
 	switch {
 	case field != "" && header != "" && field != header:
-		return "", fmt.Errorf("\"tenant\" %q and %s header %q disagree", field, tenantHeader, header)
+		return "", fault.WithKind(fmt.Errorf("\"tenant\" %q and %s header %q disagree", field, tenantHeader, header), fault.KindConfig)
 	case field != "":
 		return field, nil
 	case header != "":

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"maps"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -172,13 +173,12 @@ type Server struct {
 	// admission, bounded retries with jittered backoff.
 	exec *fault.Executor
 
-	// activeSweeps guards the checkpoint journals: at most one in-flight
-	// sweep per sweep_id, so two concurrent resubmissions cannot
-	// interleave appends into one file. openJournals tracks the live
-	// handles so Close can fsync-release any a handler has not yet.
-	sweepMu      sync.Mutex
-	activeSweeps map[string]struct{}
-	openJournals map[string]*sweepJournal
+	// sweeps guards the checkpoint journals: at most one in-flight sweep
+	// per sweep_id, so two concurrent resubmissions cannot interleave
+	// appends into one file. It maps each claimed id to its journal
+	// once open, so Close can fsync-release any a handler has not yet.
+	sweepMu sync.Mutex
+	sweeps  map[string]*sweepJournal
 
 	draining atomic.Bool
 	inflight sync.WaitGroup
@@ -190,16 +190,15 @@ type Server struct {
 func New(opt Options) *Server {
 	opt = opt.withDefaults()
 	s := &Server{
-		opt:          opt,
-		log:          opt.Logger,
-		runner:       sim.NewRunner(),
-		met:          metrics.New(),
-		tickets:      make(chan struct{}, opt.Workers+opt.QueueDepth),
-		est:          newEstimator(),
-		stop:         make(chan struct{}),
-		activeSweeps: make(map[string]struct{}),
-		openJournals: make(map[string]*sweepJournal),
-		mux:          http.NewServeMux(),
+		opt:     opt,
+		log:     opt.Logger,
+		runner:  sim.NewRunner(),
+		met:     metrics.New(),
+		tickets: make(chan struct{}, opt.Workers+opt.QueueDepth),
+		est:     newEstimator(),
+		stop:    make(chan struct{}),
+		sweeps:  make(map[string]*sweepJournal),
+		mux:     http.NewServeMux(),
 	}
 	s.tq = tenantq.New(tenantq.Options{
 		Slots:      opt.Workers,
@@ -233,7 +232,7 @@ func New(opt Options) *Server {
 		bcfg.Budget = opt.MemBudget
 		s.brown = tenantq.NewBrownout(bcfg)
 		s.runner.SetWorkloadBudget(opt.MemBudget)
-		go s.brownoutLoop()
+		go s.brownoutLoop(opt.BrownoutInterval)
 	}
 	s.mux.HandleFunc("/run", s.handleRun)
 	s.mux.HandleFunc("/sweep", s.handleSweep)
@@ -255,10 +254,7 @@ func New(opt Options) *Server {
 func (s *Server) Close() error {
 	s.stopOnce.Do(func() { close(s.stop) })
 	s.sweepMu.Lock()
-	open := make(map[string]*sweepJournal, len(s.openJournals))
-	for id, jr := range s.openJournals {
-		open[id] = jr
-	}
+	open := maps.Clone(s.sweeps)
 	s.sweepMu.Unlock()
 	var first error
 	for id, jr := range open {
@@ -284,7 +280,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	defer func() {
 		if p := recover(); p != nil {
 			s.log.Error("handler panic", "path", r.URL.Path, "panic", fmt.Sprint(p))
-			writeError(w, http.StatusInternalServerError, fmt.Errorf("internal error"))
+			writeStatus(w, http.StatusInternalServerError, errors.New("internal error"))
 		}
 	}()
 	s.mux.ServeHTTP(w, r)
@@ -317,28 +313,6 @@ func (s *Server) Drain(ctx context.Context) error {
 	}
 }
 
-// admit takes a queue ticket without blocking. The returned release
-// must be called exactly once.
-func (s *Server) admit() (release func(), ok bool) {
-	select {
-	case s.tickets <- struct{}{}:
-		s.met.QueueDepth.Add(1)
-		return func() {
-			<-s.tickets
-			s.met.QueueDepth.Add(-1)
-		}, true
-	default:
-		return nil, false
-	}
-}
-
-// acquireWorker blocks until the fair queue grants the tenant a worker
-// slot for cost cells, the tenant's quota refuses it (fail-fast
-// tenantq.ErrQuota), or the client goes away.
-func (s *Server) acquireWorker(ctx context.Context, tenant string, cost int) (release func(), err error) {
-	return s.tq.Acquire(ctx, tenant, cost)
-}
-
 // observeBrownout feeds the controller the cache's accounted footprint
 // and applies whatever level it lands on. Called synchronously on every
 // admission (so pressure reacts within one request) and from the
@@ -363,10 +337,11 @@ func (s *Server) applyBrownout(level tenantq.BrownoutLevel) {
 	s.tq.SetDegraded(level >= tenantq.BrownHalfConcurrency)
 }
 
-// brownoutLoop re-observes on a timer so the controller walks back down
-// through its hysteresis while no requests arrive. Stopped by Close.
-func (s *Server) brownoutLoop() {
-	tick := time.NewTicker(s.opt.BrownoutInterval)
+// brownoutLoop re-observes every interval so the controller walks back
+// down through its hysteresis while no requests arrive. Stopped by
+// Close.
+func (s *Server) brownoutLoop(every time.Duration) {
+	tick := time.NewTicker(every)
 	defer tick.Stop()
 	for {
 		select {
@@ -378,171 +353,243 @@ func (s *Server) brownoutLoop() {
 	}
 }
 
-// smallGrid reports whether a request is small enough for the deepest
-// brownout level: a bounded cells×max_events product under SmallGridMax.
-// Unbounded requests (max_events 0) are never small.
-func (s *Server) smallGrid(cells, maxEvents int) bool {
-	return maxEvents > 0 && cells*maxEvents <= s.opt.SmallGridMax
+// errQueueFull refuses a request arriving past Workers+QueueDepth
+// queue tickets: backpressure, counted as Rejected.
+var errQueueFull = fault.Sentinel("queue full", fault.KindQuota)
+
+// shape is what admission weighs a request by: its grid and max_events
+// (brownout's small-grid test) and its deadline (shedding). run marks a
+// /run, whose one cell admit also gives a fair-queue slot; a sweep's
+// batches take theirs one by one.
+type shape struct {
+	apps, configs []string
+	maxEvents     int
+	arrival       time.Time
+	deadlineMs    int64
+	run           bool
 }
 
-// enter gates every mutating endpoint: it registers the request with
-// the drain group and rejects when draining. exit must be called when
-// the handler returns (iff ok).
-func (s *Server) enter(w http.ResponseWriter) (exit func(), ok bool) {
+func (sh shape) cells() int { return len(sh.apps) * len(sh.configs) }
+
+func (sh shape) deadline() time.Time { return deadlineOf(sh.deadlineMs, sh.arrival) }
+
+// admit is espd's one admission step, cheapest refusal first: brownout
+// (only small bounded grids pass the deepest level), deadline shed
+// (every cell provably too slow: zero simulation), a queue ticket, and
+// for a /run the tenant's fair-queue slot. It returns the release for
+// everything it took, or a kind-carrying refusal for refuse.
+func (s *Server) admit(ctx context.Context, tenant string, sh shape) (release func(), err error) {
+	if level := s.observeBrownout(); level >= tenantq.BrownSmallOnly &&
+		!(sh.maxEvents > 0 && sh.cells()*sh.maxEvents <= s.opt.SmallGridMax) {
+		return nil, fmt.Errorf("%w (%s): only grids with cells*max_events <= %d are admitted", tenantq.ErrBrownout, level, s.opt.SmallGridMax)
+	}
+	if err := s.shed(sh.apps, sh.configs, sh.deadline(), sh.deadlineMs); err != nil {
+		return nil, err
+	}
+	select {
+	case s.tickets <- struct{}{}:
+	default:
+		return nil, fmt.Errorf("%w (%d in flight)", errQueueFull, cap(s.tickets))
+	}
+	s.met.QueueDepth.Add(1)
+	releaseTicket := func() {
+		<-s.tickets
+		s.met.QueueDepth.Add(-1)
+	}
+	if !sh.run {
+		return releaseTicket, nil
+	}
+	releaseSlot, err := s.slot(ctx, tenant, 1)
+	if err != nil {
+		releaseTicket()
+		return nil, err
+	}
+	return func() {
+		releaseSlot()
+		releaseTicket()
+	}, nil
+}
+
+// slot waits for the tenant's fair-queue grant of cost cells: the last
+// admission stage, taken by admit for a /run and once per application
+// batch by a sweep. It fails fast with tenantq.ErrQuota, or with the
+// context's error once the client has gone away.
+func (s *Server) slot(ctx context.Context, tenant string, cost int) (release func(), err error) {
+	release, err = s.tq.Acquire(ctx, tenant, cost)
+	if err != nil && !errors.Is(err, tenantq.ErrQuota) {
+		err = fmt.Errorf("client went away: %w", err)
+	}
+	return release, err
+}
+
+// shed is the one deadline-shed check: a tenantq.ErrDeadlineShed
+// refusal when every cell of the grid provably cannot finish by its
+// deadline_ms (see estimator.cannotFinish), nil otherwise.
+func (s *Server) shed(apps, configs []string, deadline time.Time, deadlineMs int64) error {
+	now := time.Now()
+	for _, app := range apps {
+		for _, name := range configs {
+			if !s.est.cannotFinish(app, name, deadline, now) {
+				return nil
+			}
+		}
+	}
+	return fmt.Errorf("%w: deadline_ms=%d", tenantq.ErrDeadlineShed, deadlineMs)
+}
+
+// count is the per-kind accounting every refusal shares, whether it
+// refuses a whole request (refuse) or part of a sweep (a batch over
+// quota, a cell shed). cells is how many cells the refused work held.
+func (s *Server) count(tenant string, cells int, err error) {
+	n := int64(cells)
+	switch fault.Classify(err) {
+	case fault.KindConfig, fault.KindBuild:
+		s.met.BadRequests.Add(1)
+	case fault.KindQuota:
+		if errors.Is(err, errQueueFull) {
+			s.met.Rejected.Add(1)
+		} else {
+			s.met.QuotaRejected.Add(n)
+		}
+	case fault.KindBrownout:
+		s.met.BrownoutRejected.Add(1)
+		s.tq.CountBrownout(tenant)
+	case fault.KindShed:
+		s.met.DeadlineShed.Add(n)
+		s.tq.CountShed(tenant, n)
+	default:
+		// A client that went away was not refused.
+	}
+}
+
+// refuse is the one refusal path: it counts err under its kind and
+// answers with the kind's status. A shed sweep still answers every
+// cell (the partial-results contract): the full grid, each cell shed.
+func (s *Server) refuse(w http.ResponseWriter, tenant string, sh shape, err error) {
+	s.count(tenant, sh.cells(), err)
+	if sh.run || !errors.Is(err, tenantq.ErrDeadlineShed) {
+		WriteError(w, err)
+		return
+	}
+	cells := make([]SweepCell, 0, sh.cells())
+	for _, app := range sh.apps {
+		for _, name := range sh.configs {
+			cells = append(cells, SweepCell{App: app, Config: name, Error: err.Error(), ErrorKind: string(fault.KindShed)})
+		}
+	}
+	s.log.Info("sweep shed", "tenant", tenant, "cells", len(cells), "deadline_ms", sh.deadlineMs)
+	WriteJSON(w, fault.HTTPStatus(fault.KindShed), SweepResponse{Cells: cells, WallMs: millis(time.Since(sh.arrival))})
+}
+
+// enter gates every mutating endpoint: POST only, counted under
+// requests, registered with the drain group, rejected while draining.
+// exit must be called when the handler returns (iff ok).
+func (s *Server) enter(w http.ResponseWriter, r *http.Request, requests *atomic.Int64) (exit func(), ok bool) {
+	if r.Method != http.MethodPost {
+		writeStatus(w, http.StatusMethodNotAllowed, errors.New("POST only"))
+		return nil, false
+	}
+	requests.Add(1)
 	s.inflight.Add(1)
 	if s.draining.Load() {
 		s.inflight.Done()
 		s.met.Draining.Add(1)
-		writeError(w, http.StatusServiceUnavailable, fmt.Errorf("server is draining"))
+		writeStatus(w, http.StatusServiceUnavailable, errors.New("server is draining"))
 		return nil, false
 	}
 	return func() { s.inflight.Done() }, true
 }
 
-// readBody slurps a bounded request body.
-func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+// decode reads a bounded request body, parses it with parse (which
+// returns the body's tenant field), and joins that field with the
+// X-ESP-Tenant header into the request's tenant. Errors are KindConfig.
+func (s *Server) decode(w http.ResponseWriter, r *http.Request, parse func([]byte) (tenant string, err error)) (string, error) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.opt.MaxRequestBytes))
 	if err != nil {
-		return nil, fmt.Errorf("reading request body: %w", err)
+		return "", fault.WithKind(fmt.Errorf("reading request body: %w", err), fault.KindConfig)
 	}
-	return body, nil
+	field, err := parse(body)
+	if err != nil {
+		return "", err
+	}
+	return resolveTenant(field, r.Header.Get(tenantHeader))
 }
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("POST only"))
-		return
-	}
-	s.met.RunRequests.Add(1)
-	exit, ok := s.enter(w)
+	exit, ok := s.enter(w, r, &s.met.RunRequests)
 	if !ok {
 		return
 	}
 	defer exit()
 
-	body, err := s.readBody(w, r)
+	var req RunRequest
+	tenant, err := s.decode(w, r, func(body []byte) (field string, err error) {
+		req, err = ParseRunRequest(body)
+		return req.Tenant, err
+	})
 	if err != nil {
-		s.met.BadRequests.Add(1)
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	req, err := ParseRunRequest(body)
-	if err != nil {
-		s.met.BadRequests.Add(1)
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	tenant, err := resolveTenant(req.Tenant, r.Header.Get(tenantHeader))
-	if err != nil {
-		s.met.BadRequests.Add(1)
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	deadline := deadlineOf(req.DeadlineMs, time.Now())
-
-	// Overload admission ladder, cheapest refusal first: brownout (503),
-	// deadline shed (504, zero simulation), queue tickets (429), then
-	// the tenant fair queue (quota 429, or a granted slot).
-	if level := s.observeBrownout(); level >= tenantq.BrownSmallOnly && !s.smallGrid(1, req.MaxEvents) {
-		s.met.BrownoutRejected.Add(1)
-		s.tq.CountBrownout(tenant)
-		writeError(w, http.StatusServiceUnavailable,
-			fmt.Errorf("%w (%s): only bounded runs with max_events <= %d are admitted", tenantq.ErrBrownout, level, s.opt.SmallGridMax))
+		s.refuse(w, "", shape{}, err)
 		return
 	}
 	estApp := req.App
 	if estApp == "" {
 		estApp = "trace"
 	}
-	if s.est.cannotFinish(estApp, req.Config, deadline, time.Now()) {
-		s.met.DeadlineShed.Add(1)
-		s.tq.CountShed(tenant, 1)
-		writeError(w, http.StatusGatewayTimeout,
-			fmt.Errorf("%w: %s/%s cannot finish within deadline_ms=%d", tenantq.ErrDeadlineShed, estApp, req.Config, req.DeadlineMs))
-		return
-	}
-
-	release, ok := s.admit()
-	if !ok {
-		s.met.Rejected.Add(1)
-		writeError(w, http.StatusTooManyRequests, fmt.Errorf("queue full (%d in flight)", cap(s.tickets)))
+	sh := shape{apps: []string{estApp}, configs: []string{req.Config}, maxEvents: req.MaxEvents,
+		arrival: time.Now(), deadlineMs: req.DeadlineMs, run: true}
+	release, err := s.admit(r.Context(), tenant, sh)
+	if err != nil {
+		s.refuse(w, tenant, sh, err)
 		return
 	}
 	defer release()
-	releaseWorker, err := s.acquireWorker(r.Context(), tenant, 1)
-	if err != nil {
-		if errors.Is(err, tenantq.ErrQuota) {
-			s.met.QuotaRejected.Add(1)
-			writeError(w, http.StatusTooManyRequests, err)
-			return
-		}
-		writeError(w, statusClientGone, fmt.Errorf("client went away: %w", err))
-		return
-	}
-	defer releaseWorker()
 
 	start := time.Now()
 	wl, cfg, err := resolve(s.runner, req, s.opt.TraceLimits)
 	if err != nil {
-		s.met.BadRequests.Add(1)
-		writeError(w, http.StatusBadRequest, err)
+		s.refuse(w, tenant, sh, err)
 		return
 	}
 	// Queue wait may have consumed the deadline; re-check before
 	// simulating, and never simulate past what is left of it.
 	timeout := timeoutOf(req.TimeoutMs, s.opt.DefaultTimeout)
-	if !deadline.IsZero() {
-		rem := time.Until(deadline)
-		if rem <= 0 || s.est.cannotFinish(wl.App, cfg.Name, deadline, time.Now()) {
-			s.met.DeadlineShed.Add(1)
-			s.tq.CountShed(tenant, 1)
-			writeError(w, http.StatusGatewayTimeout,
-				fmt.Errorf("%w: deadline exhausted while queued", tenantq.ErrDeadlineShed))
+	if deadline := sh.deadline(); !deadline.IsZero() {
+		rem := time.Until(deadline) // read before shed, as in runBatch
+		if err := s.shed([]string{wl.App}, []string{cfg.Name}, deadline, req.DeadlineMs); err != nil {
+			s.refuse(w, tenant, sh, err)
 			return
 		}
-		if rem < timeout {
-			timeout = rem
-		}
+		timeout = min(timeout, rem)
 	}
 	label := "run/" + wl.App + "/" + cfg.Name
 	res, err := s.runner.RunWorkload(label, wl, cfg, timeout)
 	wall := time.Since(start)
 	if err != nil {
-		status := http.StatusInternalServerError
 		if errors.Is(err, sim.ErrTimeout) {
-			status = http.StatusGatewayTimeout
 			s.met.Timeouts.Add(1)
 		}
-		s.log.Error("run", "app", wl.App, "config", cfg.Name, "status", status, "wall_ms", wall.Milliseconds(), "err", err.Error())
-		writeError(w, status, err)
+		s.log.Error("run", "app", wl.App, "config", cfg.Name, "kind", fault.Classify(err), "wall_ms", wall.Milliseconds(), "err", err.Error())
+		WriteError(w, err)
 		return
 	}
 	s.log.Info("run", "app", wl.App, "config", cfg.Name, "status", http.StatusOK, "wall_ms", wall.Milliseconds())
-	writeJSON(w, http.StatusOK, RunResponse{Result: res, WallMs: float64(wall.Microseconds()) / 1e3})
+	WriteJSON(w, http.StatusOK, RunResponse{Result: res, WallMs: millis(wall)})
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("POST only"))
-		return
-	}
-	s.met.SweepRequests.Add(1)
-	exit, ok := s.enter(w)
+	exit, ok := s.enter(w, r, &s.met.SweepRequests)
 	if !ok {
 		return
 	}
 	defer exit()
 
-	body, err := s.readBody(w, r)
+	var req SweepRequest
+	tenant, err := s.decode(w, r, func(body []byte) (field string, err error) {
+		req, err = ParseSweepRequest(body)
+		return req.Tenant, err
+	})
 	if err != nil {
-		s.met.BadRequests.Add(1)
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	req, err := ParseSweepRequest(body)
-	if err != nil {
-		s.met.BadRequests.Add(1)
-		writeError(w, http.StatusBadRequest, err)
+		s.refuse(w, "", shape{}, err)
 		return
 	}
 	apps := req.Apps
@@ -552,61 +599,16 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if req.Shard != "" {
 		s.met.ShardRequests.Add(1)
 	}
-	tenant, err := resolveTenant(req.Tenant, r.Header.Get(tenantHeader))
+	// The whole sweep is one admission unit. A coordinator propagating
+	// an exhausted budget (negative deadline_ms) is always shed here:
+	// zero simulation, no journal claim, no queueing.
+	sh := shape{apps: apps, configs: req.Configs, maxEvents: req.MaxEvents, arrival: time.Now(), deadlineMs: req.DeadlineMs}
+	release, err := s.admit(r.Context(), tenant, sh)
 	if err != nil {
-		s.met.BadRequests.Add(1)
-		writeError(w, http.StatusBadRequest, err)
+		s.refuse(w, tenant, sh, err)
 		return
 	}
-	arrival := time.Now()
-	deadline := deadlineOf(req.DeadlineMs, arrival)
-	gridCells := len(apps) * len(req.Configs)
-
-	if level := s.observeBrownout(); level >= tenantq.BrownSmallOnly && !s.smallGrid(gridCells, req.MaxEvents) {
-		s.met.BrownoutRejected.Add(1)
-		s.tq.CountBrownout(tenant)
-		writeError(w, http.StatusServiceUnavailable,
-			fmt.Errorf("%w (%s): only grids with cells*max_events <= %d are admitted", tenantq.ErrBrownout, level, s.opt.SmallGridMax))
-		return
-	}
-
-	// Deadline fast path: when every cell provably cannot finish, answer
-	// 504 with the full shed grid immediately — zero simulation, no
-	// journal claim, no queueing. A coordinator propagating an exhausted
-	// budget (negative deadline_ms) always lands here.
-	if !deadline.IsZero() {
-		now := time.Now()
-		allShed := true
-		for _, app := range apps {
-			for _, name := range req.Configs {
-				if !s.est.cannotFinish(app, name, deadline, now) {
-					allShed = false
-					break
-				}
-			}
-			if !allShed {
-				break
-			}
-		}
-		if allShed {
-			cells := make([]SweepCell, 0, gridCells)
-			for _, app := range apps {
-				for _, name := range req.Configs {
-					cells = append(cells, SweepCell{
-						App:       app,
-						Config:    name,
-						Error:     fmt.Sprintf("shed: cannot finish within deadline_ms=%d", req.DeadlineMs),
-						ErrorKind: string(fault.KindShed),
-					})
-				}
-			}
-			s.met.DeadlineShed.Add(int64(gridCells))
-			s.tq.CountShed(tenant, int64(gridCells))
-			s.log.Info("sweep shed", "tenant", tenant, "cells", gridCells, "deadline_ms", req.DeadlineMs)
-			writeJSON(w, http.StatusGatewayTimeout, SweepResponse{Cells: cells, WallMs: float64(time.Since(arrival).Microseconds()) / 1e3})
-			return
-		}
-	}
+	defer release()
 
 	// Checkpoint/resume: a sweep_id on a journaling server replays
 	// completed cells from disk and appends new ones as they finish. The
@@ -616,38 +618,30 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if req.SweepID != "" && s.opt.CheckpointDir != "" {
 		if !s.claimSweep(req.SweepID) {
 			s.met.SweepConflict.Add(1)
-			writeError(w, http.StatusConflict, fmt.Errorf("sweep %q is already running", req.SweepID))
+			writeStatus(w, http.StatusConflict, fmt.Errorf("sweep %q is already running", req.SweepID))
 			return
 		}
 		defer s.releaseSweep(req.SweepID)
-		var err error
 		jr, err = openSweepJournal(s.opt.CheckpointDir, apps, req, s.log)
 		if err != nil {
 			if errors.Is(err, errSweepConflict) {
 				s.met.SweepConflict.Add(1)
-				writeError(w, http.StatusConflict, err)
+				writeStatus(w, http.StatusConflict, err)
 				return
 			}
 			s.log.Error("sweep journal", "sweep_id", req.SweepID, "err", err.Error())
-			writeError(w, http.StatusInternalServerError, fmt.Errorf("opening sweep journal: %w", err))
+			WriteError(w, fmt.Errorf("opening sweep journal: %w", err))
 			return
 		}
-		s.trackJournal(req.SweepID, jr)
-		defer s.untrackJournal(req.SweepID, jr)
+		s.sweepMu.Lock()
+		s.sweeps[req.SweepID] = jr
+		s.sweepMu.Unlock()
 	}
 
-	// The whole sweep is one admission unit; each application is one
-	// batch that holds a worker slot while its configurations run back
-	// to back, so they share the materialized workload and reuse pooled
-	// machines with no interleaving cells evicting them.
-	release, ok := s.admit()
-	if !ok {
-		s.met.Rejected.Add(1)
-		writeError(w, http.StatusTooManyRequests, fmt.Errorf("queue full (%d in flight)", cap(s.tickets)))
-		return
-	}
-	defer release()
-
+	// Each application is one batch that holds a worker slot while its
+	// configurations run back to back, so they share the materialized
+	// workload and reuse pooled machines with no interleaving cells
+	// evicting them.
 	start := time.Now()
 	timeout := timeoutOf(req.TimeoutMs, s.opt.DefaultTimeout)
 	cells := make([]SweepCell, len(apps)*len(req.Configs))
@@ -657,41 +651,36 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		go func(ai int, app string) {
 			defer wg.Done()
 			batch := cells[ai*len(req.Configs) : (ai+1)*len(req.Configs)]
+			outstanding := 0
 			for ci, name := range req.Configs {
 				batch[ci] = SweepCell{App: app, Config: name}
 				if res := jr.resumed(app, name); res != nil {
 					batch[ci].Result = res
 					batch[ci].Resumed = true
 					s.met.ResumedCells.Add(1)
-				}
-			}
-			if allDone(batch) {
-				return // fully resumed: no worker slot needed
-			}
-			outstanding := 0
-			for ci := range batch {
-				if batch[ci].Result == nil {
+				} else {
 					outstanding++
 				}
+			}
+			if outstanding == 0 {
+				return // fully resumed: no worker slot needed
 			}
 			// The batch's fair-queue cost is its outstanding cell count,
 			// so a tenant sweeping the full grid weighs accordingly
 			// against a tenant running single cells.
-			releaseWorker, err := s.acquireWorker(r.Context(), tenant, outstanding)
+			releaseSlot, err := s.slot(r.Context(), tenant, outstanding)
 			if err != nil {
-				if errors.Is(err, tenantq.ErrQuota) {
-					s.met.QuotaRejected.Add(int64(outstanding))
-				}
+				s.count(tenant, outstanding, err)
 				for ci := range batch {
 					if batch[ci].Result == nil {
 						batch[ci].Error = fmt.Sprintf("batch not admitted: %v", err)
-						batch[ci].ErrorKind = errKind(err)
+						batch[ci].ErrorKind = string(fault.Classify(err))
 					}
 				}
 				return
 			}
-			defer releaseWorker()
-			s.runBatch(r.Context(), tenant, app, req, batch, timeout, deadline, jr)
+			defer releaseSlot()
+			s.runBatch(r.Context(), tenant, app, req, batch, timeout, sh.deadline(), jr)
 		}(ai, app)
 	}
 	wg.Wait()
@@ -715,11 +704,11 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if len(cells) > 0 && shed == len(cells) {
 		// Nothing at all could run in time: the partial-results contract
 		// still holds (every cell is present), but the status says so.
-		status = http.StatusGatewayTimeout
+		status = fault.HTTPStatus(fault.KindShed)
 	}
 	s.log.Info("sweep", "apps", len(apps), "configs", len(req.Configs), "cells", len(cells), "failed", failed,
 		"skipped", skipped, "resumed", resumed, "shed", shed, "tenant", tenant, "shard", req.Shard, "wall_ms", wall.Milliseconds())
-	writeJSON(w, status, SweepResponse{Cells: cells, WallMs: float64(wall.Microseconds()) / 1e3})
+	WriteJSON(w, status, SweepResponse{Cells: cells, WallMs: millis(wall)})
 }
 
 // claimSweep registers a sweep_id as in flight; false means another
@@ -727,47 +716,26 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 func (s *Server) claimSweep(id string) bool {
 	s.sweepMu.Lock()
 	defer s.sweepMu.Unlock()
-	if _, busy := s.activeSweeps[id]; busy {
+	if _, busy := s.sweeps[id]; busy {
 		return false
 	}
-	s.activeSweeps[id] = struct{}{}
+	s.sweeps[id] = nil
 	return true
 }
 
+// releaseSweep closes the sweep's journal, if one was opened (fsync
+// included; append errors were already counted), then frees its id.
 func (s *Server) releaseSweep(id string) {
 	s.sweepMu.Lock()
-	delete(s.activeSweeps, id)
-	s.sweepMu.Unlock()
-}
-
-// trackJournal registers a live journal handle for Close.
-func (s *Server) trackJournal(id string, jr *sweepJournal) {
-	s.sweepMu.Lock()
-	s.openJournals[id] = jr
-	s.sweepMu.Unlock()
-}
-
-// untrackJournal closes a sweep's journal (fsync included) and drops it
-// from the registry; append errors already counted, so only the close
-// failure is reported here.
-func (s *Server) untrackJournal(id string, jr *sweepJournal) {
-	s.sweepMu.Lock()
-	delete(s.openJournals, id)
+	jr := s.sweeps[id]
 	s.sweepMu.Unlock()
 	if err := jr.close(); err != nil {
 		s.met.JournalErrors.Add(1)
 		s.log.Error("closing sweep journal", "sweep_id", id, "err", err.Error())
 	}
-}
-
-// allDone reports whether every cell of a batch already has a result.
-func allDone(batch []SweepCell) bool {
-	for i := range batch {
-		if batch[i].Result == nil {
-			return false
-		}
-	}
-	return true
+	s.sweepMu.Lock()
+	delete(s.sweeps, id)
+	s.sweepMu.Unlock()
 }
 
 // runBatch executes one application's outstanding cells sequentially on
@@ -784,7 +752,7 @@ func (s *Server) runBatch(ctx context.Context, tenant, app string, req SweepRequ
 		for ci := range batch {
 			if batch[ci].Result == nil {
 				batch[ci].Error = err.Error()
-				batch[ci].ErrorKind = "config"
+				batch[ci].ErrorKind = string(fault.KindConfig)
 			}
 		}
 		return
@@ -798,27 +766,26 @@ func (s *Server) runBatch(ctx context.Context, tenant, app string, req SweepRequ
 			// The client is gone: stop burning worker time. Journaled
 			// cells survive for the resubmission.
 			cell.Error = fmt.Sprintf("batch canceled: %v", ctx.Err())
-			cell.ErrorKind = "canceled"
+			cell.ErrorKind = string(fault.KindCanceled)
 			continue
 		}
 		cfg, err := cellConfig(cell.Config, req.Sched, req.MaxEvents, req.MaxPending)
 		if err != nil {
 			cell.Error = err.Error()
-			cell.ErrorKind = "config"
+			cell.ErrorKind = string(fault.KindConfig)
 			continue
 		}
 		cellTimeout := timeout
 		if !deadline.IsZero() {
-			if s.est.cannotFinish(app, cfg.Name, deadline, time.Now()) {
-				cell.Error = fmt.Sprintf("shed: cannot finish within deadline_ms=%d", req.DeadlineMs)
-				cell.ErrorKind = string(fault.KindShed)
-				s.met.DeadlineShed.Add(1)
-				s.tq.CountShed(tenant, 1)
+			// rem is read before shed: a nil shed then proves rem > 0, and
+			// a non-positive timeout would mean none at all.
+			rem := time.Until(deadline)
+			if err := s.shed([]string{app}, []string{cfg.Name}, deadline, req.DeadlineMs); err != nil {
+				cell.Error, cell.ErrorKind = err.Error(), string(fault.KindShed)
+				s.count(tenant, 1, err)
 				continue
 			}
-			if rem := time.Until(deadline); rem < cellTimeout {
-				cellTimeout = rem
-			}
+			cellTimeout = min(cellTimeout, rem)
 		}
 		key := app + "/" + cfg.Name
 		var res esp.Result
@@ -837,12 +804,12 @@ func (s *Server) runBatch(ctx context.Context, tenant, app string, req SweepRequ
 		})
 		cell.Attempts = out.Attempts
 		if out.Skipped {
-			cell.Skipped = "breaker_open"
+			cell.Skipped = string(fault.KindBreakerOpen)
 			continue
 		}
 		if out.Err != nil {
 			cell.Error = out.Err.Error()
-			cell.ErrorKind = errKind(out.Err)
+			cell.ErrorKind = string(fault.Classify(out.Err))
 			continue
 		}
 		cell.Result = &res
@@ -853,13 +820,13 @@ func (s *Server) runBatch(ctx context.Context, tenant, app string, req SweepRequ
 	}
 }
 
-// journalzResponse is the GET /journalz view of one sweep journal: the
+// JournalView is the GET /journalz view of one sweep journal: the
 // header meta plus the "app/config" cells already journaled. This is
 // the coordinator's handoff probe — when a worker dies mid-shard, a
 // peek at its journal (over HTTP here, or straight off a shared
 // checkpoint dir) says which cells are already durable and carries the
 // digest to check before the rest of the shard resumes on a peer.
-type journalzResponse struct {
+type JournalView struct {
 	Meta  checkpoint.Meta `json:"meta"`
 	Cells []string        `json:"cells"`
 	Torn  bool            `json:"torn,omitempty"`
@@ -867,48 +834,48 @@ type journalzResponse struct {
 
 func (s *Server) handleJournalz(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("GET only"))
+		writeStatus(w, http.StatusMethodNotAllowed, errors.New("GET only"))
 		return
 	}
 	id := r.URL.Query().Get("sweep_id")
+	err := validateID("sweep_id", id)
 	if id == "" {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("\"sweep_id\" query parameter is required"))
-		return
+		err = errors.New("\"sweep_id\" query parameter is required")
 	}
-	if err := validateID("sweep_id", id); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if err != nil {
+		WriteError(w, fault.WithKind(err, fault.KindConfig))
 		return
 	}
 	if s.opt.CheckpointDir == "" {
-		writeError(w, http.StatusNotFound, fmt.Errorf("checkpointing is disabled on this daemon"))
+		writeStatus(w, http.StatusNotFound, errors.New("checkpointing is disabled on this daemon"))
 		return
 	}
 	s.met.JournalPeeks.Add(1)
 	meta, records, torn, err := checkpoint.Peek(filepath.Join(s.opt.CheckpointDir, id+".espj"))
 	switch {
 	case errors.Is(err, os.ErrNotExist):
-		writeError(w, http.StatusNotFound, fmt.Errorf("no journal for sweep %q", id))
+		writeStatus(w, http.StatusNotFound, fmt.Errorf("no journal for sweep %q", id))
 		return
 	case errors.Is(err, checkpoint.ErrCorrupt):
-		writeError(w, http.StatusUnprocessableEntity, err)
+		writeStatus(w, http.StatusUnprocessableEntity, err)
 		return
 	case err != nil:
-		writeError(w, http.StatusInternalServerError, err)
+		WriteError(w, err)
 		return
 	}
-	resp := journalzResponse{Meta: meta, Cells: make([]string, 0, len(records)), Torn: torn}
+	resp := JournalView{Meta: meta, Cells: make([]string, 0, len(records)), Torn: torn}
 	for _, raw := range records {
 		var rec journalRecord
 		if json.Unmarshal(raw, &rec) == nil {
 			resp.Cells = append(resp.Cells, rec.App+"/"+rec.Config)
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("GET only"))
+		writeStatus(w, http.StatusMethodNotAllowed, errors.New("GET only"))
 		return
 	}
 	snap := s.met.Snapshot()
@@ -968,7 +935,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	snap.Resilience.BreakerTrips = breakers.Trips()
 	snap.Resilience.BreakerSkips = breakers.Skips()
 	snap.Resilience.BreakerOpen = int64(breakers.OpenCount())
-	writeJSON(w, http.StatusOK, snap)
+	WriteJSON(w, http.StatusOK, snap)
 }
 
 type healthResponse struct {
@@ -981,14 +948,14 @@ type healthResponse struct {
 // probe failed would abort the drain). Routability is /readyz's job.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("GET only"))
+		writeStatus(w, http.StatusMethodNotAllowed, errors.New("GET only"))
 		return
 	}
 	h := healthResponse{Status: "ok", UptimeMs: s.met.Snapshot().UptimeMs}
 	if s.draining.Load() {
 		h.Status = "draining"
 	}
-	writeJSON(w, http.StatusOK, h)
+	WriteJSON(w, http.StatusOK, h)
 }
 
 type readyResponse struct {
@@ -1004,7 +971,7 @@ type readyResponse struct {
 // full of breaker_open cells.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("GET only"))
+		writeStatus(w, http.StatusMethodNotAllowed, errors.New("GET only"))
 		return
 	}
 	resp := readyResponse{
@@ -1021,25 +988,37 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		resp.Status = "quarantined"
 		code = http.StatusServiceUnavailable
 	}
-	writeJSON(w, code, resp)
+	WriteJSON(w, code, resp)
 }
 
-// statusClientGone is the nginx-convention 499 "client closed request":
-// the client's context died while the request waited for a worker.
-const statusClientGone = 499
-
-type errorResponse struct {
-	Error string `json:"error"`
+// ErrorResponse is the body of every error espd and espcoord answer.
+// ErrorKind names the kind the status was chosen by; it is empty on
+// protocol refusals (wrong method, draining, sweep_id conflicts,
+// missing journals), whose statuses belong to no kind.
+type ErrorResponse struct {
+	Error     string          `json:"error"`
+	ErrorKind fault.ErrorKind `json:"error_kind,omitempty"`
 }
 
-func writeError(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, errorResponse{Error: err.Error()})
+// WriteError answers err with the status of its kind — fault.HTTPStatus
+// is the only source of error statuses — and a body naming both.
+func WriteError(w http.ResponseWriter, err error) {
+	kind := fault.Classify(err)
+	WriteJSON(w, fault.HTTPStatus(kind), ErrorResponse{Error: err.Error(), ErrorKind: kind})
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// writeStatus answers a protocol refusal with its own status.
+func writeStatus(w http.ResponseWriter, code int, err error) {
+	WriteJSON(w, code, ErrorResponse{Error: err.Error()})
+}
+
+// WriteJSON answers v as JSON with status code.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
 	enc.SetEscapeHTML(false)
 	_ = enc.Encode(v) // the status line is gone; nothing left to signal
 }
+
+func millis(d time.Duration) float64 { return float64(d.Microseconds()) / 1e3 }

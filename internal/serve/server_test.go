@@ -16,6 +16,7 @@ import (
 
 	esp "espsim"
 	"espsim/internal/eventq"
+	"espsim/internal/fault"
 	"espsim/internal/serve/metrics"
 	"espsim/internal/trace"
 	"espsim/internal/workload"
@@ -33,6 +34,10 @@ func testServer(t *testing.T, opt Options) *Server {
 	}
 	return New(opt)
 }
+
+// statusClientGone is the status a client that went away is answered
+// with (nginx's 499 "client closed request").
+var statusClientGone = fault.HTTPStatus(fault.KindCanceled)
 
 // post sends a JSON body and returns the recorded response.
 func post(t *testing.T, h http.Handler, path string, body any) *httptest.ResponseRecorder {
@@ -211,7 +216,7 @@ func TestRunRejectsBadRequests(t *testing.T) {
 			if rec.Code != http.StatusBadRequest {
 				t.Fatalf("status %d, want 400 (body %s)", rec.Code, rec.Body.String())
 			}
-			var e errorResponse
+			var e ErrorResponse
 			if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Error == "" {
 				t.Fatalf("error body %q is not a JSON error", rec.Body.String())
 			}
